@@ -15,6 +15,7 @@
 #include "frontend/parser.hpp"
 #include "interp/interpreter.hpp"
 #include "meta/query.hpp"
+#include "support/trace.hpp"
 #include "transform/unroll.hpp"
 
 using namespace psaflow;
@@ -82,6 +83,34 @@ static void BM_InterpretNBodyProfile(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_InterpretNBodyProfile);
+
+// The bytecode VM on each app's profiling workload, outside the profile
+// cache (what psabench's interp.msteps_per_s probe times, per app). The
+// argument indexes apps::all_applications(); argument construction is
+// excluded from the timing.
+static void BM_VmProfileRun(benchmark::State& state) {
+    const auto& app =
+        *apps::all_applications()[static_cast<std::size_t>(state.range(0))];
+    state.SetLabel(app.name);
+    auto mod = frontend::parse_module(app.source, app.name);
+    auto types = sema::check(*mod);
+    interp::InterpOptions opt;
+    opt.engine = interp::Engine::Vm;
+    trace::Registry registry;
+    trace::ScopedRegistry scope(registry);
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto args = app.workload.make_args(app.workload.profile_scale);
+        state.ResumeTiming();
+        auto run = interp::run_function(*mod, types, app.workload.entry,
+                                        args, opt);
+        benchmark::DoNotOptimize(run);
+    }
+    state.counters["Msteps"] = benchmark::Counter(
+        static_cast<double>(registry.counter("interp.steps")) / 1e6,
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_VmProfileRun)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 static void BM_DependenceAnalysis(benchmark::State& state) {
     auto mod = frontend::parse_module(apps::kmeans().source, "kmeans");

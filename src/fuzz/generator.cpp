@@ -195,17 +195,22 @@ private:
                                vec(num_expr(depth - 1)));
             }
             case 5: { // domain-guarded builtins
+                // fmin drops a NaN operand, so the sqrt and log guards
+                // hold even once an overflowing accumulation has made `e`
+                // NaN (inf - inf); fabs alone passes NaN on.
+                const auto magnitude = [&] {
+                    return b::call(
+                        "fmin",
+                        vec2(b::call("fabs", vec(num_expr(depth - 1))),
+                             b::float_lit(1e30, "1e30")));
+                };
                 switch (below(4)) {
-                    case 0: // sqrt(fabs(e))
+                    case 0: // sqrt(fmin(fabs(e), 1e30))
+                        return b::call("sqrt", vec(magnitude()));
+                    case 1: // log(fmin(fabs(e), 1e30) + 1.0)
                         return b::call(
-                            "sqrt",
-                            vec(b::call("fabs", vec(num_expr(depth - 1)))));
-                    case 1: // log(fabs(e) + 1.0)
-                        return b::call(
-                            "log",
-                            vec(b::add(
-                                b::call("fabs", vec(num_expr(depth - 1))),
-                                b::float_lit(1.0, "1.0"))));
+                            "log", vec(b::add(magnitude(),
+                                              b::float_lit(1.0, "1.0"))));
                     case 2: // exp(fmin(fabs(e), 8.0))
                         return b::call(
                             "exp",

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <optional>
 #include <sstream>
 
+#include "ast/walk.hpp"
 #include "support/error.hpp"
 
 namespace psaflow::interp::bc {
@@ -118,7 +121,9 @@ public:
                 ++next_reg_;
             }
         }
+        load_literals();
         max_reg_ = next_reg_;
+        first_temp_ = next_reg_;
 
         emit_block(*fn_.body);
         // Falling off the end of a non-void function mirrors the tree
@@ -140,6 +145,12 @@ private:
     std::unordered_map<std::string, Type> buf_elem_;
     std::int32_t next_reg_ = 0;
     std::int32_t max_reg_ = 0;
+    std::int32_t first_temp_ = 0; ///< registers below: variables, literals
+    /// Register of each literal, keyed by static type and value bits.
+    std::map<std::pair<Type, std::uint64_t>, std::int32_t> literal_reg_;
+    /// The latest jump target. Labels are only ever placed at here(), so
+    /// the next instruction starts a new basic block iff label_ == here().
+    std::int32_t label_ = -1;
 
     // ---- emission helpers --------------------------------------------
 
@@ -151,6 +162,72 @@ private:
                       std::int32_t c = 0) {
         cf_.code.push_back(Insn{op, a, b, c});
         return here() - 1;
+    }
+
+    /// Mark here() as a jump target and return it.
+    std::int32_t label() {
+        label_ = here();
+        return label_;
+    }
+
+    /// The previous instruction, when it falls through to here() only.
+    Insn* fallthrough_pred() {
+        if (cf_.code.empty() || label_ == here()) return nullptr;
+        return &cf_.code.back();
+    }
+
+    static bool is_charge(Op op) {
+        return op == Op::ChargeCmp || op == Op::ChargeAssign ||
+               op == Op::ChargeRun;
+    }
+
+    /// A standalone unit charge. Adjacent ones within a basic block merge
+    /// into one ChargeRun (ChargeCmp and ChargeAssign both cost one unit).
+    void emit_charge(Op op) {
+        Insn* prev = fallthrough_pred();
+        if (prev == nullptr || !is_charge(prev->op)) {
+            emit(op);
+            return;
+        }
+        prev->a = prev->op == Op::ChargeRun ? prev->a + 1 : 2;
+        prev->op = Op::ChargeRun;
+    }
+
+    /// True for ops whose only effect on scalar registers is writing S[a]
+    /// after reading their sources.
+    static bool writes_a(Op op) {
+        switch (op) {
+            case Op::LoadI: case Op::LoadD: case Op::LoadB: case Op::Mov:
+            case Op::I2D: case Op::D2I: case Op::D2F: case Op::I2F:
+            case Op::AddI: case Op::SubI: case Op::MulI: case Op::DivI:
+            case Op::ModI: case Op::NegI:
+            case Op::AddD: case Op::SubD: case Op::MulD: case Op::DivD:
+            case Op::NegD:
+            case Op::AddF: case Op::SubF: case Op::MulF: case Op::DivF:
+            case Op::NegF:
+            case Op::LtI: case Op::LeI: case Op::GtI: case Op::GeI:
+            case Op::EqI: case Op::NeI:
+            case Op::LtD: case Op::LeD: case Op::GtD: case Op::GeD:
+            case Op::EqD: case Op::NeD: case Op::NotB:
+            case Op::LoadElemI: case Op::LoadElemF: case Op::LoadElemD:
+            case Op::CallBuiltin: case Op::CallUser:
+                return true;
+            default: return false;
+        }
+    }
+
+    /// S[dst] = S[src]. `op tmp; Mov dst, tmp` becomes `op dst` when tmp
+    /// is a statement temporary (dead after this move) written by the
+    /// instruction that falls through to here().
+    void emit_mov(std::int32_t dst, std::int32_t src) {
+        if (dst == src) return;
+        Insn* prev = fallthrough_pred();
+        if (src >= first_temp_ && prev != nullptr && writes_a(prev->op) &&
+            prev->a == src) {
+            prev->a = dst;
+            return;
+        }
+        emit(Op::Mov, dst, src);
     }
 
     std::int32_t alloc() {
@@ -176,6 +253,70 @@ private:
         if (it == breg_of_.end()) internal("no buffer slot for '" + name +
                                            "'");
         return it->second;
+    }
+
+    // ---- literals -------------------------------------------------------
+
+    /// A literal's static type, the load that materializes it and its key
+    /// in literal_reg_. Single-precision literals are rounded here, as
+    /// Value::of_float rounds at construction.
+    struct Literal {
+        Type type;
+        Op load;
+        std::int32_t operand;
+        std::uint64_t bits;
+    };
+
+    Literal literal(const Expr& e) {
+        switch (e.kind()) {
+            case NodeKind::IntLit: {
+                const long long v = static_cast<const IntLit&>(e).value;
+                return Literal{Type::Int, Op::LoadI, mc_.intern_int(v),
+                               static_cast<std::uint64_t>(v)};
+            }
+            case NodeKind::FloatLit: {
+                const auto& lit = static_cast<const FloatLit&>(e);
+                const double v =
+                    lit.single ? static_cast<double>(
+                                     static_cast<float>(lit.value))
+                               : lit.value;
+                std::uint64_t bits = 0;
+                std::memcpy(&bits, &v, sizeof bits);
+                return Literal{lit.single ? Type::Float : Type::Double,
+                               Op::LoadD, mc_.intern_real(v), bits};
+            }
+            default: {
+                const bool v = static_cast<const BoolLit&>(e).value;
+                return Literal{Type::Bool, Op::LoadB, v ? 1 : 0,
+                               v ? 1u : 0u};
+            }
+        }
+    }
+
+    static bool is_literal(const Node& n) {
+        return n.kind() == NodeKind::IntLit ||
+               n.kind() == NodeKind::FloatLit ||
+               n.kind() == NodeKind::BoolLit;
+    }
+
+    /// Give every distinct literal of the body a register of its own,
+    /// loaded once on entry. Literal loads are charge-free, so this moves
+    /// no charge, and it takes the loads out of every loop.
+    void load_literals() {
+        ast::walk(static_cast<const Node&>(*fn_.body), [&](const Node& n) {
+            if (!is_literal(n)) return true;
+            const Literal lit = literal(static_cast<const Expr&>(n));
+            auto [it, fresh] =
+                literal_reg_.try_emplace({lit.type, lit.bits}, next_reg_);
+            if (fresh) emit(lit.load, next_reg_++, lit.operand);
+            return true;
+        });
+    }
+
+    /// A literal's register; every literal was loaded on entry.
+    Reg emit_literal(const Expr& e) {
+        const Literal lit = literal(e);
+        return Reg{literal_reg_.at({lit.type, lit.bits}), lit.type};
     }
 
     // ---- conversions (all charge-free, mirroring Value::convert_to /
@@ -224,9 +365,7 @@ private:
         switch (want) {
             case Type::Int:
                 switch (src.type) {
-                    case Type::Int:
-                        if (dst != src.idx) emit(Op::Mov, dst, src.idx);
-                        return;
+                    case Type::Int: emit_mov(dst, src.idx); return;
                     case Type::Float:
                     case Type::Double: emit(Op::D2I, dst, src.idx); return;
                     default: trap("value is not numeric"); return;
@@ -235,23 +374,19 @@ private:
                 switch (src.type) {
                     case Type::Int: emit(Op::I2D, dst, src.idx); return;
                     case Type::Float:
-                    case Type::Double:
-                        if (dst != src.idx) emit(Op::Mov, dst, src.idx);
-                        return;
+                    case Type::Double: emit_mov(dst, src.idx); return;
                     default: trap("value is not numeric"); return;
                 }
             case Type::Float:
                 switch (src.type) {
                     case Type::Int: emit(Op::I2F, dst, src.idx); return;
-                    case Type::Float:
-                        if (dst != src.idx) emit(Op::Mov, dst, src.idx);
-                        return;
+                    case Type::Float: emit_mov(dst, src.idx); return;
                     case Type::Double: emit(Op::D2F, dst, src.idx); return;
                     default: trap("value is not numeric"); return;
                 }
             case Type::Bool:
                 if (src.type == Type::Bool) {
-                    if (dst != src.idx) emit(Op::Mov, dst, src.idx);
+                    emit_mov(dst, src.idx);
                 } else {
                     trap("value is not bool");
                 }
@@ -276,31 +411,9 @@ private:
 
     Reg emit_expr(const Expr& e) {
         switch (e.kind()) {
-            case NodeKind::IntLit: {
-                const std::int32_t r = alloc();
-                emit(Op::LoadI, r,
-                     mc_.intern_int(static_cast<const IntLit&>(e).value));
-                return Reg{r, Type::Int};
-            }
-            case NodeKind::FloatLit: {
-                const auto& lit = static_cast<const FloatLit&>(e);
-                const std::int32_t r = alloc();
-                if (lit.single) {
-                    // Value::of_float rounds at construction.
-                    const double rounded = static_cast<double>(
-                        static_cast<float>(lit.value));
-                    emit(Op::LoadD, r, mc_.intern_real(rounded));
-                    return Reg{r, Type::Float};
-                }
-                emit(Op::LoadD, r, mc_.intern_real(lit.value));
-                return Reg{r, Type::Double};
-            }
-            case NodeKind::BoolLit: {
-                const std::int32_t r = alloc();
-                emit(Op::LoadB, r,
-                     static_cast<const BoolLit&>(e).value ? 1 : 0);
-                return Reg{r, Type::Bool};
-            }
+            case NodeKind::IntLit:
+            case NodeKind::FloatLit:
+            case NodeKind::BoolLit: return emit_literal(e);
             case NodeKind::Ident: {
                 const auto& id = static_cast<const Ident&>(e);
                 auto it = sreg_of_.find(id.name);
@@ -354,15 +467,15 @@ private:
         // Short-circuit logical operators: the tree walker charges the
         // comparison before evaluating either side, then evaluates lazily.
         if (b.op == BinaryOp::And || b.op == BinaryOp::Or) {
-            emit(Op::ChargeCmp);
+            emit_charge(Op::ChargeCmp);
             const std::int32_t dst = alloc();
             const Reg l = emit_expr(*b.lhs);
             emit(Op::LoadB, dst, b.op == BinaryOp::And ? 0 : 1);
             const std::int32_t jump = emit(
                 b.op == BinaryOp::And ? Op::JmpF : Op::JmpT, l.idx, 0);
             const Reg r = emit_expr(*b.rhs);
-            emit(Op::Mov, dst, r.idx);
-            cf_.code[static_cast<std::size_t>(jump)].b = here();
+            emit_mov(dst, r.idx);
+            cf_.code[static_cast<std::size_t>(jump)].b = label();
             return Reg{dst, Type::Bool};
         }
 
@@ -497,18 +610,18 @@ private:
                 break;
             case NodeKind::If: {
                 const auto& i = static_cast<const If&>(stmt);
-                emit(Op::ChargeCmp);
+                emit_charge(Op::ChargeCmp);
                 const Reg cond = emit_expr(*i.cond);
                 const std::int32_t jf = emit(Op::JmpF, cond.idx, 0);
                 next_reg_ = save;
                 emit_block(*i.then_body);
                 if (i.else_body) {
                     const std::int32_t jend = emit(Op::Jmp, 0);
-                    cf_.code[static_cast<std::size_t>(jf)].b = here();
+                    cf_.code[static_cast<std::size_t>(jf)].b = label();
                     emit_block(*i.else_body);
-                    cf_.code[static_cast<std::size_t>(jend)].a = here();
+                    cf_.code[static_cast<std::size_t>(jend)].a = label();
                 } else {
-                    cf_.code[static_cast<std::size_t>(jf)].b = here();
+                    cf_.code[static_cast<std::size_t>(jf)].b = label();
                 }
                 break;
             }
@@ -517,14 +630,14 @@ private:
                 break;
             case NodeKind::While: {
                 const auto& w = static_cast<const While&>(stmt);
-                const std::int32_t head = here();
-                emit(Op::ChargeCmp);
+                const std::int32_t head = label();
+                emit_charge(Op::ChargeCmp);
                 const Reg cond = emit_expr(*w.cond);
                 const std::int32_t jf = emit(Op::JmpF, cond.idx, 0);
                 next_reg_ = save;
                 emit_block(*w.body);
                 emit(Op::Jmp, head);
-                cf_.code[static_cast<std::size_t>(jf)].b = here();
+                cf_.code[static_cast<std::size_t>(jf)].b = label();
                 break;
             }
             case NodeKind::Return: {
@@ -583,7 +696,7 @@ private:
                 emit(Op::LoadD, dst, mc_.intern_real(0.0));
             }
         }
-        emit(Op::ChargeAssign);
+        emit_charge(Op::ChargeAssign);
     }
 
     Op compound_op(AssignOp op, Type t) const {
@@ -609,7 +722,7 @@ private:
     }
 
     void emit_assign(const Assign& a) {
-        emit(Op::ChargeAssign);
+        emit_charge(Op::ChargeAssign);
         const Reg rhs = emit_expr(*a.value);
 
         if (const auto* id = dyn_cast<Ident>(a.target.get())) {
@@ -668,6 +781,28 @@ private:
         }
     }
 
+    /// The register holding `e` when evaluating it each iteration is
+    /// charge-free and emits no code: an int literal (its register is
+    /// loaded on entry) or an int variable (read at each use, so a body
+    /// write is seen exactly when the tree walker would see it).
+    std::optional<Reg> invariant_int(const Expr& e) {
+        if (e.kind() == NodeKind::IntLit) return emit_expr(e);
+        if (const auto* id = dyn_cast<Ident>(&e)) {
+            auto it = scalar_type_.find(id->name);
+            if (it != scalar_type_.end() && it->second == Type::Int)
+                return Reg{sreg(id->name), Type::Int};
+        }
+        return std::nullopt;
+    }
+
+    // for (var = init; snap < limit; var = snap + step), where snap is the
+    // head snapshot of var: the step update uses the value read at the head,
+    // so a body write to the loop variable does not change the next
+    // iteration (exactly the tree walker's local `i`). The loop is rotated:
+    // LoopTest guards the first trip and the back edge re-tests, so an
+    // iteration dispatches one loop op when the limit is invariant
+    // (LoopNext) and two plus the limit's code otherwise (LoopInc,
+    // LoopBack). A positive literal step needs no StepCheck.
     void emit_for(const For& loop) {
         const std::int32_t save = next_reg_;
         const std::int32_t lidx = mc_.intern_loop(loop.id);
@@ -675,29 +810,39 @@ private:
 
         const Reg init = to_int(emit_expr(*loop.init));
         const std::int32_t var = sreg(loop.var);
-        if (var != init.idx) emit(Op::Mov, var, init.idx);
+        emit_mov(var, init.idx);
         next_reg_ = save;
 
-        // Head snapshot: the step update uses the value read at the head,
-        // so a body write to the loop variable does not change the next
-        // iteration (exactly the tree walker's local `i`).
         const std::int32_t snap = alloc();
-        const std::int32_t head = here();
         emit(Op::Mov, snap, var);
+        const std::optional<Reg> inv_limit = invariant_int(*loop.limit);
+        const std::optional<Reg> inv_step = invariant_int(*loop.step);
         const std::int32_t body_save = next_reg_;
-        const Reg limit = to_int(emit_expr(*loop.limit));
-        const std::int32_t jexit = emit(Op::LoopHead, snap, limit.idx, 0);
+        const Reg limit = inv_limit ? *inv_limit
+                                    : to_int(emit_expr(*loop.limit));
+        const std::int32_t test = emit(Op::LoopTest, snap, limit.idx, 0);
         next_reg_ = body_save;
-        emit(Op::LoopTrip, lidx);
+
+        const std::int32_t body = label();
         emit_block(*loop.body);
-        const Reg step = to_int(emit_expr(*loop.step));
-        emit(Op::StepCheck, step.idx,
-             mc_.intern_name(to_string(loop.loc) +
-                             ": for-loop step must be positive"));
-        emit(Op::IncI, var, snap, step.idx);
-        next_reg_ = body_save;
-        emit(Op::Jmp, head);
-        cf_.code[static_cast<std::size_t>(jexit)].c = here();
+        const Reg step = inv_step ? *inv_step : to_int(emit_expr(*loop.step));
+        const auto* lit = dyn_cast<IntLit>(loop.step.get());
+        if (lit == nullptr || lit->value <= 0)
+            emit(Op::StepCheck, step.idx,
+                 mc_.intern_name(to_string(loop.loc) +
+                                 ": for-loop step must be positive"));
+        if (inv_limit) {
+            mc_.out.loop_ctl.push_back(
+                LoopCtl{var, snap, step.idx, limit.idx, body});
+            emit(Op::LoopNext,
+                 static_cast<std::int32_t>(mc_.out.loop_ctl.size() - 1));
+        } else {
+            emit(Op::LoopInc, var, snap, step.idx);
+            next_reg_ = body_save;
+            const Reg again = to_int(emit_expr(*loop.limit));
+            emit(Op::LoopBack, snap, again.idx, body);
+        }
+        cf_.code[static_cast<std::size_t>(test)].c = label();
         emit(Op::LoopExit);
         next_reg_ = save;
     }
@@ -740,13 +885,13 @@ const char* to_string(Op op) {
         case Op::JmpT: return "JmpT";
         case Op::ChargeCmp: return "ChargeCmp";
         case Op::ChargeAssign: return "ChargeAssign";
+        case Op::ChargeRun: return "ChargeRun";
         case Op::AddI: return "AddI";
         case Op::SubI: return "SubI";
         case Op::MulI: return "MulI";
         case Op::DivI: return "DivI";
         case Op::ModI: return "ModI";
         case Op::NegI: return "NegI";
-        case Op::IncI: return "IncI";
         case Op::AddD: return "AddD";
         case Op::SubD: return "SubD";
         case Op::MulD: return "MulD";
@@ -783,8 +928,10 @@ const char* to_string(Op op) {
         case Op::NeD: return "NeD";
         case Op::NotB: return "NotB";
         case Op::LoopEnter: return "LoopEnter";
-        case Op::LoopHead: return "LoopHead";
-        case Op::LoopTrip: return "LoopTrip";
+        case Op::LoopTest: return "LoopTest";
+        case Op::LoopNext: return "LoopNext";
+        case Op::LoopInc: return "LoopInc";
+        case Op::LoopBack: return "LoopBack";
         case Op::LoopExit: return "LoopExit";
         case Op::StepCheck: return "StepCheck";
         case Op::NewBuf: return "NewBuf";
@@ -848,13 +995,18 @@ void disasm_insn(std::ostringstream& os, const CompiledModule& m,
         case Op::LoopExit:
         case Op::RetVoid:
             break;
-        case Op::LoopEnter:
-        case Op::LoopTrip:
-            os << " L" << in.a;
-            break;
-        case Op::LoopHead:
+        case Op::ChargeRun: os << " " << in.a; break;
+        case Op::LoopEnter: os << " L" << in.a; break;
+        case Op::LoopTest:
+        case Op::LoopBack:
             os << " " << s(in.a) << ", " << s(in.b) << ", " << at(in.c);
             break;
+        case Op::LoopNext: {
+            const LoopCtl& l = m.loop_ctl[static_cast<std::size_t>(in.a)];
+            os << " " << s(l.var) << ", " << s(l.snap) << ", " << s(l.step)
+               << ", " << s(l.limit) << ", " << at(l.body);
+            break;
+        }
         case Op::StepCheck:
             os << " " << s(in.a) << ", \""
                << m.name_pool[static_cast<std::size_t>(in.b)] << "\"";

@@ -10,6 +10,13 @@
 // aliasing probes) are explicit instructions, so profiles, results and
 // error strings come out bit-identical while the walking overhead is gone.
 //
+// Charge-free work is kept off the per-instruction path: literals live in
+// registers loaded once on function entry, a statement's result is
+// computed straight into its variable (no trailing Mov), adjacent unit
+// charges merge into one ChargeRun, and a for loop's back edge (step, head
+// snapshot, limit test, trip count) is one LoopNext when its limit is
+// invariant. None of this moves a charge relative to another.
+//
 // Lowering invariants relied on throughout (all guaranteed by sema::check):
 //   - one declared type per name per function, so every scalar gets a fixed
 //     register and every array a fixed buffer slot;
@@ -50,6 +57,7 @@ enum class Op : std::uint8_t {
     // ---- standalone charges (tree walker charges before evaluating) ----
     ChargeCmp,    ///< charge(kCmpCost): If/While heads, And/Or
     ChargeAssign, ///< charge(kAssignCost): Assign and VarDecl statements
+    ChargeRun,    ///< a adjacent ChargeCmp/ChargeAssign (one unit each)
     // ---- int arithmetic (charge kIntOpCost) ----
     AddI, ///< charge(1); S[a].i = S[b].i + S[c].i
     SubI,
@@ -57,7 +65,6 @@ enum class Op : std::uint8_t {
     DivI, ///< charge(1); throws on S[c].i == 0
     ModI, ///< charge(1); throws on S[c].i == 0
     NegI, ///< charge(1); S[a].i = -S[b].i
-    IncI, ///< S[a].i = S[b].i + S[c].i, charge-free (loop var update)
     // ---- double arithmetic (charge w,w with w = Div ? 4 : 1) ----
     AddD,
     SubD,
@@ -98,10 +105,17 @@ enum class Op : std::uint8_t {
     EqD,
     NeD,
     NotB, ///< charge(1); S[a].b = !S[b].b
-    // ---- for loops ----
+    // ---- for loops: `snap` is the head snapshot of the induction
+    //      variable, and "trip" means: profiling ++trips of the innermost
+    //      active loop, then charge(kLoopIterCost) ----
     LoopEnter, ///< profiling: ++entries of loop_pool[a], push active loop
-    LoopHead,  ///< charge(kCmpCost); if (S[a].i >= S[b].i) pc = c
-    LoopTrip,  ///< profiling: ++trips of loop_pool[a]; charge(kLoopIterCost)
+    LoopTest,  ///< charge(kCmpCost); if (S[a].i >= S[b].i) pc = c; else trip
+    LoopNext,  ///< back edge with an invariant limit, operands loop_ctl[a]:
+               ///< S[var].i = S[snap].i + S[step].i; S[snap] = S[var];
+               ///< charge(kCmpCost); if (S[snap].i < S[limit].i) trip and
+               ///< pc = body
+    LoopInc,   ///< S[a].i = S[b].i + S[c].i; S[b] = S[a] (var, snap, step)
+    LoopBack,  ///< charge(kCmpCost); if (S[a].i < S[b].i) trip and pc = c
     LoopExit,  ///< profiling: pop active loop
     StepCheck, ///< if (S[a].i <= 0) throw InterpError(name_pool[b])
     // ---- buffers ----
@@ -127,6 +141,16 @@ struct Insn {
     std::int32_t a = 0;
     std::int32_t b = 0;
     std::int32_t c = 0;
+};
+
+/// Operands of one LoopNext, more than an Insn holds. All are scalar
+/// registers except `body`, the pc the back edge jumps to.
+struct LoopCtl {
+    std::int32_t var = 0;
+    std::int32_t snap = 0;
+    std::int32_t step = 0;
+    std::int32_t limit = 0;
+    std::int32_t body = 0;
 };
 
 /// Element type and declared name of a local array (NewBuf operand).
@@ -165,6 +189,7 @@ struct CompiledModule {
     std::vector<std::string> name_pool; ///< pre-composed error messages
     std::vector<const sema::BuiltinInfo*> builtin_pool;
     std::vector<ast::Node::Id> loop_pool; ///< For node ids, compile order
+    std::vector<LoopCtl> loop_ctl;        ///< LoopNext operands
     std::vector<BufDecl> buf_pool;
     std::vector<std::int32_t> arg_pool; ///< flattened call argument registers
 

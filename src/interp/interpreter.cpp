@@ -144,8 +144,9 @@ struct Interpreter::Impl {
 
     Value call_function(const Function& fn, std::vector<Slot> arg_slots) {
         charge(kCallCost);
-        ensure(arg_slots.size() == fn.params.size(),
-               "internal: call arity mismatch for '" + fn.name + "'");
+        // Messages are built only on the throw path: this runs per call.
+        if (arg_slots.size() != fn.params.size())
+            throw Error("internal: call arity mismatch for '" + fn.name + "'");
 
         const bool is_focus =
             options.profile && fn.name == options.focus_function;
@@ -171,16 +172,18 @@ struct Interpreter::Impl {
             const Param& p = *fn.params[i];
             if (p.type.is_pointer) {
                 auto* b = std::get_if<BufferPtr>(&arg_slots[i]);
-                ensure(b != nullptr, "array argument expected for parameter '" +
-                                         p.name + "'");
-                ensure((*b)->elem_type() == p.type.elem,
-                       "buffer element type mismatch for parameter '" + p.name +
-                           "'");
+                if (b == nullptr)
+                    throw Error("array argument expected for parameter '" +
+                                p.name + "'");
+                if ((*b)->elem_type() != p.type.elem)
+                    throw Error("buffer element type mismatch for parameter '" +
+                                p.name + "'");
                 new_frame.emplace(p.name, *b);
             } else {
                 auto* v = std::get_if<Value>(&arg_slots[i]);
-                ensure(v != nullptr, "scalar argument expected for parameter '" +
-                                         p.name + "'");
+                if (v == nullptr)
+                    throw Error("scalar argument expected for parameter '" +
+                                p.name + "'");
                 new_frame.emplace(p.name, v->convert_to(p.type.elem));
             }
         }
@@ -578,8 +581,8 @@ Value Interpreter::call(const std::string& name, const std::vector<Arg>& args) {
     const Function* fn = impl_->module.find_function(name);
     if (fn == nullptr)
         throw InterpError("entry function '" + name + "' not found");
-    ensure(args.size() == fn->params.size(),
-           "entry call arity mismatch for '" + name + "'");
+    if (args.size() != fn->params.size())
+        throw Error("entry call arity mismatch for '" + name + "'");
 
     std::vector<Impl::Slot> slots;
     slots.reserve(args.size());

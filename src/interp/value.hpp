@@ -110,7 +110,12 @@ public:
     [[nodiscard]] std::size_t size() const { return data_.size(); }
     [[nodiscard]] int id() const { return id_; }
     [[nodiscard]] const std::string& name() const { return name_; }
-    [[nodiscard]] int elem_bytes() const { return ast::size_of(elem_); }
+    /// ast::size_of(elem_type()) for the numeric types a buffer can hold
+    /// (checked at construction), without size_of's switch and throw: the
+    /// interpreters charge it on every element access.
+    [[nodiscard]] int elem_bytes() const {
+        return elem_ == ast::Type::Float ? 4 : 8;
+    }
 
     [[nodiscard]] double load(long long index) const {
         check(index);

@@ -21,6 +21,8 @@ constexpr double kMemCost = 2.0;
 constexpr double kLoopIterCost = 2.0;
 constexpr double kAssignCost = 1.0;
 constexpr double kCallCost = 8.0;
+static_assert(kCmpCost == 1.0 && kAssignCost == 1.0,
+              "ChargeRun charges one unit per merged ChargeCmp/ChargeAssign");
 
 /// One scalar register. Float values are stored in `d` already rounded to
 /// float precision (the lowering rounds wherever Value::of_float did), so
@@ -85,6 +87,10 @@ struct Vm::Impl {
     std::vector<std::pair<int, std::size_t>> focus_buffer_index;
 
     long long steps = 0;
+    /// The first step count at which a charge must stop for a check: the
+    /// max_steps overrun or the next cancellation poll (every 0x2000
+    /// steps). Below it a charge only counts.
+    long long next_event = 0;
 
     // Charges not yet attributed to the active-loop stack. Every cost
     // weight, flop count and byte count is a small integer, so double
@@ -102,18 +108,45 @@ struct Vm::Impl {
     Impl(const ast::Module& m, const sema::TypeInfo& t, InterpOptions o)
         : options(std::move(o)),
           code(bc::compile(m, t, options.focus_function)),
-          loop_cache(code.loop_pool.size(), nullptr) {}
+          loop_cache(code.loop_pool.size(), nullptr) {
+        schedule_event();
+    }
 
     // ---- bookkeeping (identical to the tree walker's) -----------------
 
     void charge(double cost, double flops = 0.0, double bytes = 0.0) {
-        if (++steps > options.max_steps)
-            throw InterpError("execution exceeded max_steps (runaway loop?)");
-        if ((steps & 0x1fff) == 0) poll_cancellation();
+        if (++steps >= next_event) step_event();
         if (!options.profile) return;
         pend_cost += cost;
         pend_flops += flops;
         pend_bytes += bytes;
+    }
+
+    /// `n` unit charges (cost 1, no flops or bytes) — ChargeRun. When the
+    /// run could reach a check it charges one at a time, so the throw or
+    /// poll happens at the same step with the same pending profile.
+    void charge_units(std::int32_t n) {
+        if (steps + n < next_event) {
+            steps += n;
+            if (options.profile) pend_cost += n;
+            return;
+        }
+        for (std::int32_t k = 0; k < n; ++k) charge(1.0);
+    }
+
+    /// The tree walker's per-charge checks, for the step that reached
+    /// next_event. Out of line and cold: inlined into every charge site
+    /// it made the dispatch loop measurably slower.
+    [[gnu::noinline, gnu::cold]] void step_event() {
+        if (steps > options.max_steps)
+            throw InterpError("execution exceeded max_steps (runaway loop?)");
+        if ((steps & 0x1fff) == 0) poll_cancellation();
+        schedule_event();
+    }
+
+    void schedule_event() {
+        const long long poll = (steps | 0x1fff) + 1;
+        next_event = options.max_steps < poll ? options.max_steps + 1 : poll;
     }
 
     /// Fold the pending charges into the profile totals and every active
@@ -137,6 +170,12 @@ struct Vm::Impl {
         pend_cost = 0.0;
         pend_flops = 0.0;
         pend_bytes = 0.0;
+    }
+
+    /// One more trip of the innermost loop.
+    void trip() {
+        if (options.profile) ++loop_stack.back().stats->trips;
+        charge(kLoopIterCost);
     }
 
     void note_access(const BufferPtr& buf, long long index, bool write) {
@@ -221,8 +260,8 @@ struct Vm::Impl {
                      const std::vector<Arg>& args) {
         charge(kCallCost);
         flush_charges(); // before the focus snapshot reads the totals
-        ensure(args.size() == fn.params.size(),
-               "internal: call arity mismatch for '" + fn.name + "'");
+        if (args.size() != fn.params.size())
+            throw Error("internal: call arity mismatch for '" + fn.name + "'");
 
         Frame f;
         f.fn = &fn;
@@ -248,18 +287,18 @@ struct Vm::Impl {
             const bc::ParamSpec& p = fn.params[i];
             if (p.is_pointer) {
                 const auto* b = std::get_if<BufferPtr>(&args[i]);
-                ensure(b != nullptr,
-                       "array argument expected for parameter '" + p.name +
-                           "'");
-                ensure((*b)->elem_type() == p.elem,
-                       "buffer element type mismatch for parameter '" +
-                           p.name + "'");
+                if (b == nullptr)
+                    throw Error("array argument expected for parameter '" +
+                                p.name + "'");
+                if ((*b)->elem_type() != p.elem)
+                    throw Error("buffer element type mismatch for parameter '" +
+                                p.name + "'");
                 scratch_b.push_back(*b);
             } else {
                 const auto* v = std::get_if<Value>(&args[i]);
-                ensure(v != nullptr,
-                       "scalar argument expected for parameter '" + p.name +
-                           "'");
+                if (v == nullptr)
+                    throw Error("scalar argument expected for parameter '" +
+                                p.name + "'");
                 scratch_s.push_back(unbox(v->convert_to(p.elem), p.elem));
             }
         }
@@ -339,6 +378,7 @@ struct Vm::Impl {
                 // ---- standalone charges ----
                 case Op::ChargeCmp: charge(kCmpCost); break;
                 case Op::ChargeAssign: charge(kAssignCost); break;
+                case Op::ChargeRun: charge_units(in.a); break;
                 // ---- int arithmetic ----
                 case Op::AddI:
                     charge(kIntOpCost);
@@ -368,7 +408,6 @@ struct Vm::Impl {
                     charge(1.0);
                     S[in.a].i = -S[in.b].i;
                     break;
-                case Op::IncI: S[in.a].i = S[in.b].i + S[in.c].i; break;
                 // ---- double arithmetic ----
                 case Op::AddD:
                     charge(1.0, 1.0);
@@ -539,13 +578,36 @@ struct Vm::Impl {
                             ActiveLoop{st, frames.size()});
                     }
                     break;
-                case Op::LoopHead:
+                case Op::LoopTest:
                     charge(kCmpCost);
-                    if (S[in.a].i >= S[in.b].i) pc = in.c;
+                    if (S[in.a].i >= S[in.b].i) {
+                        pc = in.c;
+                        break;
+                    }
+                    trip();
                     break;
-                case Op::LoopTrip:
-                    if (options.profile) ++loop_stack.back().stats->trips;
-                    charge(kLoopIterCost);
+                case Op::LoopNext: {
+                    const bc::LoopCtl& l =
+                        code.loop_ctl[static_cast<std::size_t>(in.a)];
+                    S[l.var].i = S[l.snap].i + S[l.step].i;
+                    S[l.snap] = S[l.var];
+                    charge(kCmpCost);
+                    if (S[l.snap].i < S[l.limit].i) {
+                        trip();
+                        pc = l.body;
+                    }
+                    break;
+                }
+                case Op::LoopInc:
+                    S[in.a].i = S[in.b].i + S[in.c].i;
+                    S[in.b] = S[in.a];
+                    break;
+                case Op::LoopBack:
+                    charge(kCmpCost);
+                    if (S[in.a].i < S[in.b].i) {
+                        trip();
+                        pc = in.c;
+                    }
                     break;
                 case Op::LoopExit:
                     if (options.profile) {
@@ -599,18 +661,13 @@ struct Vm::Impl {
                 case Op::CallBuiltin: {
                     const sema::BuiltinInfo* b =
                         code.builtin_pool[static_cast<std::size_t>(in.b)];
-                    double argv[4];
-                    for (int k = 0; k < b->arity; ++k)
-                        argv[k] =
-                            S[code.arg_pool[static_cast<std::size_t>(
-                                  in.c + k)]]
-                                .d;
+                    const std::int32_t* argv = code.arg_pool.data() + in.c;
+                    const double x = S[argv[0]].d;
+                    const double y = b->arity > 1 ? S[argv[1]].d : 0.0;
                     charge(b->flop_cost, b->flop_cost);
                     if (options.profile)
                         prof.total_call_flops += b->flop_cost;
-                    const double out = sema::eval_builtin(
-                        *b, std::span<const double>(
-                                argv, static_cast<std::size_t>(b->arity)));
+                    const double out = sema::apply_builtin(*b, x, y);
                     S[in.a].d =
                         b->result == ast::Type::Float ? round_f(out) : out;
                     break;
@@ -647,10 +704,11 @@ struct Vm::Impl {
                     std::size_t bi = 0;
                     for (const bc::ParamSpec& p : callee.params) {
                         if (!p.is_pointer) continue;
-                        ensure(scratch_b[bi]->elem_type() == p.elem,
-                               "buffer element type mismatch for parameter "
-                               "'" +
-                                   p.name + "'");
+                        if (scratch_b[bi]->elem_type() != p.elem)
+                            throw Error(
+                                "buffer element type mismatch for "
+                                "parameter '" +
+                                p.name + "'");
                         ++bi;
                     }
 
@@ -712,8 +770,8 @@ Value Vm::call(const std::string& name, const std::vector<Arg>& args) {
     const bc::CompiledFunction* fn = impl_->code.find(name);
     if (fn == nullptr)
         throw InterpError("entry function '" + name + "' not found");
-    ensure(args.size() == fn->params.size(),
-           "entry call arity mismatch for '" + name + "'");
+    if (args.size() != fn->params.size())
+        throw Error("entry call arity mismatch for '" + name + "'");
 
     const long long steps_before = impl_->steps;
     Value out;

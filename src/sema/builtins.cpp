@@ -11,84 +11,73 @@ namespace {
 
 using ast::Type;
 
+constexpr float narrow(double x) { return static_cast<float>(x); }
+
 // Flop costs approximate instruction counts on contemporary hardware and are
 // the per-call charge used by the arithmetic-intensity analysis and the
 // device performance models. They matter *relatively* (exp is ~8x an add),
-// not absolutely.
+// not absolutely. Each *f implementation calls the float overload of the
+// same <cmath> function on narrowed arguments.
 constexpr std::array<BuiltinInfo, 26> kBuiltins = {{
-    {"sqrt", 1, Type::Double, 4, "sqrtf", false},
-    {"sqrtf", 1, Type::Float, 4, "", true},
-    {"exp", 1, Type::Double, 8, "expf", false},
-    {"expf", 1, Type::Float, 8, "", true},
-    {"log", 1, Type::Double, 8, "logf", false},
-    {"logf", 1, Type::Float, 8, "", true},
-    {"pow", 2, Type::Double, 16, "powf", false},
-    {"powf", 2, Type::Float, 16, "", true},
-    {"sin", 1, Type::Double, 8, "sinf", false},
-    {"sinf", 1, Type::Float, 8, "", true},
-    {"cos", 1, Type::Double, 8, "cosf", false},
-    {"cosf", 1, Type::Float, 8, "", true},
-    {"tanh", 1, Type::Double, 10, "tanhf", false},
-    {"tanhf", 1, Type::Float, 10, "", true},
-    {"erf", 1, Type::Double, 12, "erff", false},
-    {"erff", 1, Type::Float, 12, "", true},
-    {"erfc", 1, Type::Double, 12, "erfcf", false},
-    {"erfcf", 1, Type::Float, 12, "", true},
-    {"fabs", 1, Type::Double, 1, "fabsf", false},
-    {"fabsf", 1, Type::Float, 1, "", true},
-    {"floor", 1, Type::Double, 1, "floorf", false},
-    {"floorf", 1, Type::Float, 1, "", true},
-    {"fmin", 2, Type::Double, 1, "fminf", false},
-    {"fminf", 2, Type::Float, 1, "", true},
-    {"fmax", 2, Type::Double, 1, "fmaxf", false},
-    {"fmaxf", 2, Type::Float, 1, "", true},
+    {"sqrt", 1, Type::Double, 4, "sqrtf", false, Domain::NonNegative,
+     [](double x, double) -> double { return std::sqrt(x); }},
+    {"sqrtf", 1, Type::Float, 4, "", true, Domain::NonNegative,
+     [](double x, double) -> double { return std::sqrt(narrow(x)); }},
+    {"exp", 1, Type::Double, 8, "expf", false, Domain::Any,
+     [](double x, double) -> double { return std::exp(x); }},
+    {"expf", 1, Type::Float, 8, "", true, Domain::Any,
+     [](double x, double) -> double { return std::exp(narrow(x)); }},
+    {"log", 1, Type::Double, 8, "logf", false, Domain::Positive,
+     [](double x, double) -> double { return std::log(x); }},
+    {"logf", 1, Type::Float, 8, "", true, Domain::Positive,
+     [](double x, double) -> double { return std::log(narrow(x)); }},
+    {"pow", 2, Type::Double, 16, "powf", false, Domain::Any,
+     [](double x, double y) -> double { return std::pow(x, y); }},
+    {"powf", 2, Type::Float, 16, "", true, Domain::Any,
+     [](double x, double y) -> double {
+         return std::pow(narrow(x), narrow(y));
+     }},
+    {"sin", 1, Type::Double, 8, "sinf", false, Domain::Any,
+     [](double x, double) -> double { return std::sin(x); }},
+    {"sinf", 1, Type::Float, 8, "", true, Domain::Any,
+     [](double x, double) -> double { return std::sin(narrow(x)); }},
+    {"cos", 1, Type::Double, 8, "cosf", false, Domain::Any,
+     [](double x, double) -> double { return std::cos(x); }},
+    {"cosf", 1, Type::Float, 8, "", true, Domain::Any,
+     [](double x, double) -> double { return std::cos(narrow(x)); }},
+    {"tanh", 1, Type::Double, 10, "tanhf", false, Domain::Any,
+     [](double x, double) -> double { return std::tanh(x); }},
+    {"tanhf", 1, Type::Float, 10, "", true, Domain::Any,
+     [](double x, double) -> double { return std::tanh(narrow(x)); }},
+    {"erf", 1, Type::Double, 12, "erff", false, Domain::Any,
+     [](double x, double) -> double { return std::erf(x); }},
+    {"erff", 1, Type::Float, 12, "", true, Domain::Any,
+     [](double x, double) -> double { return std::erf(narrow(x)); }},
+    {"erfc", 1, Type::Double, 12, "erfcf", false, Domain::Any,
+     [](double x, double) -> double { return std::erfc(x); }},
+    {"erfcf", 1, Type::Float, 12, "", true, Domain::Any,
+     [](double x, double) -> double { return std::erfc(narrow(x)); }},
+    {"fabs", 1, Type::Double, 1, "fabsf", false, Domain::Any,
+     [](double x, double) -> double { return std::fabs(x); }},
+    {"fabsf", 1, Type::Float, 1, "", true, Domain::Any,
+     [](double x, double) -> double { return std::fabs(narrow(x)); }},
+    {"floor", 1, Type::Double, 1, "floorf", false, Domain::Any,
+     [](double x, double) -> double { return std::floor(x); }},
+    {"floorf", 1, Type::Float, 1, "", true, Domain::Any,
+     [](double x, double) -> double { return std::floor(narrow(x)); }},
+    {"fmin", 2, Type::Double, 1, "fminf", false, Domain::Any,
+     [](double x, double y) -> double { return std::fmin(x, y); }},
+    {"fminf", 2, Type::Float, 1, "", true, Domain::Any,
+     [](double x, double y) -> double {
+         return std::fmin(narrow(x), narrow(y));
+     }},
+    {"fmax", 2, Type::Double, 1, "fmaxf", false, Domain::Any,
+     [](double x, double y) -> double { return std::fmax(x, y); }},
+    {"fmaxf", 2, Type::Float, 1, "", true, Domain::Any,
+     [](double x, double y) -> double {
+         return std::fmax(narrow(x), narrow(y));
+     }},
 }};
-
-double eval_double(std::string_view base, std::span<const double> a) {
-    if (base == "sqrt") {
-        ensure(a[0] >= 0.0, "sqrt of negative value");
-        return std::sqrt(a[0]);
-    }
-    if (base == "exp") return std::exp(a[0]);
-    if (base == "log") {
-        ensure(a[0] > 0.0, "log of non-positive value");
-        return std::log(a[0]);
-    }
-    if (base == "pow") return std::pow(a[0], a[1]);
-    if (base == "sin") return std::sin(a[0]);
-    if (base == "cos") return std::cos(a[0]);
-    if (base == "tanh") return std::tanh(a[0]);
-    if (base == "erf") return std::erf(a[0]);
-    if (base == "erfc") return std::erfc(a[0]);
-    if (base == "fabs") return std::fabs(a[0]);
-    if (base == "floor") return std::floor(a[0]);
-    if (base == "fmin") return std::fmin(a[0], a[1]);
-    if (base == "fmax") return std::fmax(a[0], a[1]);
-    throw Error("eval_builtin: unknown builtin '" + std::string(base) + "'");
-}
-
-float eval_single(std::string_view base, float x, float y) {
-    if (base == "sqrt") {
-        ensure(x >= 0.0f, "sqrtf of negative value");
-        return std::sqrt(x);
-    }
-    if (base == "exp") return std::exp(x);
-    if (base == "log") {
-        ensure(x > 0.0f, "logf of non-positive value");
-        return std::log(x);
-    }
-    if (base == "pow") return std::pow(x, y);
-    if (base == "sin") return std::sin(x);
-    if (base == "cos") return std::cos(x);
-    if (base == "tanh") return std::tanh(x);
-    if (base == "erf") return std::erf(x);
-    if (base == "erfc") return std::erfc(x);
-    if (base == "fabs") return std::fabs(x);
-    if (base == "floor") return std::floor(x);
-    if (base == "fmin") return std::fmin(x, y);
-    if (base == "fmax") return std::fmax(x, y);
-    throw Error("eval_builtin: unknown builtin '" + std::string(base) + "'");
-}
 
 } // namespace
 
@@ -101,17 +90,16 @@ const BuiltinInfo* find_builtin(std::string_view name) {
 
 std::span<const BuiltinInfo> all_builtins() { return kBuiltins; }
 
+void throw_domain_error(const BuiltinInfo& info) {
+    throw Error(std::string(info.name) + (info.domain == Domain::Positive
+                                              ? " of non-positive value"
+                                              : " of negative value"));
+}
+
 double eval_builtin(const BuiltinInfo& info, std::span<const double> args) {
-    ensure(static_cast<int>(args.size()) == info.arity,
-           "builtin '" + std::string(info.name) + "' arity mismatch");
-    if (info.is_single) {
-        // Strip the trailing 'f' to get the base operation, compute in float.
-        std::string_view base = info.name.substr(0, info.name.size() - 1);
-        const float x = static_cast<float>(args[0]);
-        const float y = args.size() > 1 ? static_cast<float>(args[1]) : 0.0f;
-        return static_cast<double>(eval_single(base, x, y));
-    }
-    return eval_double(info.name, args);
+    if (static_cast<int>(args.size()) != info.arity)
+        throw Error("builtin '" + std::string(info.name) + "' arity mismatch");
+    return apply_builtin(info, args[0], info.arity > 1 ? args[1] : 0.0);
 }
 
 } // namespace psaflow::sema

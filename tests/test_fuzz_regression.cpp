@@ -89,7 +89,8 @@ TEST(FuzzRegression, VmEngineMatchesTreeWalkerOnCorpus) {
 TEST(FuzzRegression, GeneratedProgramsPassOracles) {
     // A handful of fresh seeds beyond the stored corpus, so the suite also
     // covers the generator/oracle pair itself, not just the snapshot.
-    for (const std::uint64_t seed : {501ULL, 502ULL, 503ULL}) {
+    // Seed 355 overflows an accumulation to NaN ahead of a guarded sqrt.
+    for (const std::uint64_t seed : {355ULL, 501ULL, 502ULL, 503ULL}) {
         const auto program = fuzz::generate_program(seed, {});
         const auto outcome = fuzz::run_oracles(program.source, {});
         for (const auto& f : outcome.failures)

@@ -5,6 +5,7 @@
 // profiles and cancellation behaviour. The five paper applications and the
 // full flow engine are covered end-to-end; the `interp:vm` fuzz oracle
 // (test_fuzz_regression) extends the same check to generated programs.
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -68,9 +69,12 @@ TEST(VmLowering, IntegerDivisionAndModulo) {
 }
 
 TEST(VmLowering, ForLoopWithCompoundAssign) {
-    // LoopEnter/LoopHead/LoopTrip/LoopExit bracket the body; the induction
-    // variable advances through a snapshot register (s3 here) so body
-    // writes to `i` are overwritten exactly like the tree walker.
+    // Literals get registers loaded once on entry (s3, s4). LoopEnter/
+    // LoopExit bracket the loop, LoopTest guards the first trip and
+    // LoopNext is the whole back edge: the limit `n` is invariant and the
+    // positive literal step needs no StepCheck. The induction variable
+    // advances through a snapshot register (s5 here) so body writes to `i`
+    // are overwritten exactly like the tree walker.
     EXPECT_EQ(disasm(R"(int sum_to(int n) {
     int s = 0;
     for (int i = 0; i < n; i++) {
@@ -79,49 +83,78 @@ TEST(VmLowering, ForLoopWithCompoundAssign) {
     return s;
 }
 )"),
-              "func sum_to(n: int) ret=int sregs=5 bregs=0\n"
+              "func sum_to(n: int) ret=int sregs=6 bregs=0\n"
               "   0: LoadI s3, 0\n"
-              "   1: Mov s1, s3\n"
-              "   2: ChargeAssign\n"
-              "   3: LoopEnter L0\n"
-              "   4: LoadI s3, 0\n"
+              "   1: LoadI s4, 1\n"
+              "   2: Mov s1, s3\n"
+              "   3: ChargeAssign\n"
+              "   4: LoopEnter L0\n"
               "   5: Mov s2, s3\n"
-              "   6: Mov s3, s2\n"
-              "   7: LoopHead s3, s0, @15\n"
-              "   8: LoopTrip L0\n"
+              "   6: Mov s5, s2\n"
+              "   7: LoopTest s5, s0, @11\n"
+              "   8: ChargeAssign\n"
+              "   9: CAddI s1, s1, s2\n"
+              "  10: LoopNext s2, s5, s4, s0, @8\n"
+              "  11: LoopExit\n"
+              "  12: Ret s1\n"
+              "  13: Trap \"value is not numeric\"\n");
+}
+
+TEST(VmLowering, ForLoopWithComputedLimitAndVariableStep) {
+    // A limit with code of its own is re-evaluated on every trip, so the
+    // back edge is LoopInc, the limit's code, then LoopBack. A variable
+    // step keeps its StepCheck.
+    EXPECT_EQ(disasm(R"(int tri(int n, int s) {
+    int acc = 0;
+    for (int i = 0; i < n + 1; i += s) {
+        acc += i;
+    }
+    return acc;
+}
+)"),
+              "func tri(n: int, s: int) ret=int sregs=8 bregs=0\n"
+              "   0: LoadI s4, 0\n"
+              "   1: LoadI s5, 1\n"
+              "   2: Mov s2, s4\n"
+              "   3: ChargeAssign\n"
+              "   4: LoopEnter L0\n"
+              "   5: Mov s3, s4\n"
+              "   6: Mov s6, s3\n"
+              "   7: AddI s7, s0, s5\n"
+              "   8: LoopTest s6, s7, @15\n"
               "   9: ChargeAssign\n"
-              "  10: CAddI s1, s1, s2\n"
-              "  11: LoadI s4, 1\n"
-              "  12: StepCheck s4, \"3:5: for-loop step must be positive\"\n"
-              "  13: IncI s2, s3, s4\n"
-              "  14: Jmp @6\n"
+              "  10: CAddI s2, s2, s3\n"
+              "  11: StepCheck s1, \"3:5: for-loop step must be positive\"\n"
+              "  12: LoopInc s3, s6, s1\n"
+              "  13: AddI s7, s0, s5\n"
+              "  14: LoopBack s6, s7, @9\n"
               "  15: LoopExit\n"
-              "  16: Ret s1\n"
+              "  16: Ret s2\n"
               "  17: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, ShortCircuitAndOr) {
     // `&&`/`||` charge one comparison before the left operand and skip the
-    // right one entirely when short-circuiting, mirroring the tree.
+    // right one entirely when short-circuiting, mirroring the tree. The
+    // move at @9 is a jump target, so it is not folded into NotB.
     EXPECT_EQ(disasm(R"(bool gate(bool p, bool q, double x) {
     return p && (x < 1.0 || !q);
 }
 )"),
               "func gate(p: bool, q: bool, x: double) ret=bool "
               "sregs=8 bregs=0\n"
-              "   0: ChargeCmp\n"
-              "   1: LoadB s3, false\n"
-              "   2: JmpF s0, @11\n"
-              "   3: ChargeCmp\n"
-              "   4: LoadD s5, 1\n"
-              "   5: LtD s6, s2, s5\n"
-              "   6: LoadB s4, true\n"
-              "   7: JmpT s6, @10\n"
-              "   8: NotB s7, s1\n"
-              "   9: Mov s4, s7\n"
-              "  10: Mov s3, s4\n"
-              "  11: Ret s3\n"
-              "  12: Trap \"value is not bool\"\n");
+              "   0: LoadD s3, 1\n"
+              "   1: ChargeCmp\n"
+              "   2: LoadB s4, false\n"
+              "   3: JmpF s0, @10\n"
+              "   4: ChargeCmp\n"
+              "   5: LtD s6, s2, s3\n"
+              "   6: LoadB s5, true\n"
+              "   7: JmpT s6, @9\n"
+              "   8: NotB s5, s1\n"
+              "   9: Mov s4, s5\n"
+              "  10: Ret s4\n"
+              "  11: Trap \"value is not bool\"\n");
 }
 
 TEST(VmLowering, WhileAndIfElse) {
@@ -138,42 +171,36 @@ TEST(VmLowering, WhileAndIfElse) {
     return steps;
 }
 )"),
-              "func halve(n: int) ret=int sregs=6 bregs=0\n"
+              "func halve(n: int) ret=int sregs=7 bregs=0\n"
               "   0: LoadI s2, 0\n"
-              "   1: Mov s1, s2\n"
-              "   2: ChargeAssign\n"
-              "   3: ChargeCmp\n"
-              "   4: LoadI s2, 1\n"
-              "   5: GtI s3, s0, s2\n"
-              "   6: JmpF s3, @27\n"
-              "   7: ChargeCmp\n"
-              "   8: LoadI s2, 2\n"
-              "   9: ModI s3, s0, s2\n"
-              "  10: LoadI s4, 0\n"
-              "  11: EqI s5, s3, s4\n"
-              "  12: JmpF s5, @18\n"
-              "  13: ChargeAssign\n"
-              "  14: LoadI s2, 2\n"
-              "  15: DivI s3, s0, s2\n"
-              "  16: Mov s0, s3\n"
-              "  17: Jmp @22\n"
-              "  18: ChargeAssign\n"
-              "  19: LoadI s2, 1\n"
-              "  20: SubI s3, s0, s2\n"
-              "  21: Mov s0, s3\n"
-              "  22: ChargeAssign\n"
-              "  23: LoadI s2, 1\n"
-              "  24: AddI s3, s1, s2\n"
-              "  25: Mov s1, s3\n"
-              "  26: Jmp @3\n"
-              "  27: Ret s1\n"
-              "  28: Trap \"value is not numeric\"\n");
+              "   1: LoadI s3, 1\n"
+              "   2: LoadI s4, 2\n"
+              "   3: Mov s1, s2\n"
+              "   4: ChargeAssign\n"
+              "   5: ChargeCmp\n"
+              "   6: GtI s5, s0, s3\n"
+              "   7: JmpF s5, @20\n"
+              "   8: ChargeCmp\n"
+              "   9: ModI s5, s0, s4\n"
+              "  10: EqI s6, s5, s2\n"
+              "  11: JmpF s6, @15\n"
+              "  12: ChargeAssign\n"
+              "  13: DivI s0, s0, s4\n"
+              "  14: Jmp @17\n"
+              "  15: ChargeAssign\n"
+              "  16: SubI s0, s0, s3\n"
+              "  17: ChargeAssign\n"
+              "  18: AddI s1, s1, s3\n"
+              "  19: Jmp @5\n"
+              "  20: Ret s1\n"
+              "  21: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, FloatRoundingAndConversions) {
     // Binary float ops compute in float (MulF); float compound assignment
     // computes in double and rounds once (CDivF) — two distinct rounding
-    // behaviours the tree walker has, preserved verbatim.
+    // behaviours the tree walker has, preserved verbatim. The declaration's
+    // charge and the next assignment's merge into one ChargeRun.
     EXPECT_EQ(disasm(R"(float mix(float a, int k, double d) {
     float t = a * 0.5f;
     t /= d + k;
@@ -181,17 +208,15 @@ TEST(VmLowering, FloatRoundingAndConversions) {
 }
 )"),
               "func mix(a: float, k: int, d: double) ret=float "
-              "sregs=6 bregs=0\n"
+              "sregs=7 bregs=0\n"
               "   0: LoadD s4, 0.5\n"
-              "   1: MulF s5, s0, s4\n"
-              "   2: Mov s3, s5\n"
-              "   3: ChargeAssign\n"
-              "   4: ChargeAssign\n"
-              "   5: I2D s5, s1\n"
-              "   6: AddD s4, s2, s5\n"
-              "   7: CDivF s3, s3, s4\n"
-              "   8: Ret s3\n"
-              "   9: Trap \"value is not numeric\"\n");
+              "   1: MulF s3, s0, s4\n"
+              "   2: ChargeRun 2\n"
+              "   3: I2D s6, s1\n"
+              "   4: AddD s5, s2, s6\n"
+              "   5: CDivF s3, s3, s5\n"
+              "   6: Ret s3\n"
+              "   7: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, LocalArraysAndElementOps) {
@@ -206,58 +231,45 @@ TEST(VmLowering, LocalArraysAndElementOps) {
     return acc[0] + acc[1] + acc[2] + acc[3];
 }
 )"),
-              "func tally(n: int, buf: double*) ret=double "
-              "sregs=13 bregs=2\n"
+              "func tally(n: int, buf: double*) ret=double sregs=15 bregs=2\n"
               "   0: LoadI s2, 4\n"
-              "   1: NewBuf b1, s2, double 'acc'\n"
-              "   2: ChargeAssign\n"
-              "   3: LoopEnter L0\n"
-              "   4: LoadI s2, 0\n"
-              "   5: Mov s1, s2\n"
-              "   6: Mov s2, s1\n"
-              "   7: LoadI s3, 4\n"
-              "   8: LoopHead s2, s3, @17\n"
-              "   9: LoopTrip L0\n"
-              "  10: ChargeAssign\n"
-              "  11: LoadD s3, 0\n"
-              "  12: StoreElem b1[s1], s3\n"
-              "  13: LoadI s3, 1\n"
-              "  14: StepCheck s3, \"3:5: for-loop step must be positive\"\n"
-              "  15: IncI s1, s2, s3\n"
-              "  16: Jmp @6\n"
-              "  17: LoopExit\n"
-              "  18: LoopEnter L1\n"
-              "  19: LoadI s2, 0\n"
-              "  20: Mov s1, s2\n"
-              "  21: Mov s2, s1\n"
-              "  22: LoopHead s2, s0, @36\n"
-              "  23: LoopTrip L1\n"
-              "  24: ChargeAssign\n"
-              "  25: ModI s3, s1, s0\n"
-              "  26: LoadElemD s4, b0[s3]\n"
-              "  27: LoadI s5, 4\n"
-              "  28: ModI s6, s1, s5\n"
-              "  29: LoadElemD s7, b1[s6]\n"
-              "  30: CAddD s7, s7, s4\n"
-              "  31: StoreElem b1[s6], s7\n"
-              "  32: LoadI s3, 1\n"
-              "  33: StepCheck s3, \"6:5: for-loop step must be positive\"\n"
-              "  34: IncI s1, s2, s3\n"
-              "  35: Jmp @21\n"
-              "  36: LoopExit\n"
-              "  37: LoadI s2, 0\n"
-              "  38: LoadElemD s3, b1[s2]\n"
-              "  39: LoadI s4, 1\n"
-              "  40: LoadElemD s5, b1[s4]\n"
-              "  41: AddD s6, s3, s5\n"
-              "  42: LoadI s7, 2\n"
-              "  43: LoadElemD s8, b1[s7]\n"
-              "  44: AddD s9, s6, s8\n"
-              "  45: LoadI s10, 3\n"
-              "  46: LoadElemD s11, b1[s10]\n"
-              "  47: AddD s12, s9, s11\n"
-              "  48: Ret s12\n"
-              "  49: Trap \"value is not numeric\"\n");
+              "   1: LoadI s3, 0\n"
+              "   2: LoadI s4, 1\n"
+              "   3: LoadD s5, 0\n"
+              "   4: LoadI s6, 2\n"
+              "   5: LoadI s7, 3\n"
+              "   6: NewBuf b1, s2, double 'acc'\n"
+              "   7: ChargeAssign\n"
+              "   8: LoopEnter L0\n"
+              "   9: Mov s1, s3\n"
+              "  10: Mov s8, s1\n"
+              "  11: LoopTest s8, s2, @15\n"
+              "  12: ChargeAssign\n"
+              "  13: StoreElem b1[s1], s5\n"
+              "  14: LoopNext s1, s8, s4, s2, @12\n"
+              "  15: LoopExit\n"
+              "  16: LoopEnter L1\n"
+              "  17: Mov s1, s3\n"
+              "  18: Mov s8, s1\n"
+              "  19: LoopTest s8, s0, @28\n"
+              "  20: ChargeAssign\n"
+              "  21: ModI s9, s1, s0\n"
+              "  22: LoadElemD s10, b0[s9]\n"
+              "  23: ModI s11, s1, s2\n"
+              "  24: LoadElemD s12, b1[s11]\n"
+              "  25: CAddD s12, s12, s10\n"
+              "  26: StoreElem b1[s11], s12\n"
+              "  27: LoopNext s1, s8, s4, s0, @20\n"
+              "  28: LoopExit\n"
+              "  29: LoadElemD s8, b1[s3]\n"
+              "  30: LoadElemD s9, b1[s4]\n"
+              "  31: AddD s10, s8, s9\n"
+              "  32: LoadElemD s11, b1[s6]\n"
+              "  33: AddD s12, s10, s11\n"
+              "  34: LoadElemD s13, b1[s7]\n"
+              "  35: AddD s14, s12, s13\n"
+              "  36: Ret s14\n"
+              "  37: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, BuiltinAndUserCalls) {
@@ -279,14 +291,14 @@ double run(int n, double* b) {
               "\n"
               "func run(n: int, b: double*) ret=double sregs=10 bregs=1\n"
               "   0: LoadI s1, 0\n"
-              "   1: LoadElemD s2, b0[s1]\n"
-              "   2: I2D s3, s0\n"
-              "   3: CallUser s4, norm(s2, s3)\n"
-              "   4: LoadI s5, 1\n"
-              "   5: LoadElemD s6, b0[s5]\n"
-              "   6: LoadD s7, 2\n"
-              "   7: CallBuiltin s8, fmin(s6, s7)\n"
-              "   8: AddD s9, s4, s8\n"
+              "   1: LoadI s2, 1\n"
+              "   2: LoadD s3, 2\n"
+              "   3: LoadElemD s4, b0[s1]\n"
+              "   4: I2D s5, s0\n"
+              "   5: CallUser s6, norm(s4, s5)\n"
+              "   6: LoadElemD s7, b0[s2]\n"
+              "   7: CallBuiltin s8, fmin(s7, s3)\n"
+              "   8: AddD s9, s6, s8\n"
               "   9: Ret s9\n"
               "  10: Trap \"value is not numeric\"\n");
 }
@@ -480,9 +492,240 @@ TEST(VmDispatch, FloatCompoundRoundsOnceThroughDouble) {
 }
 
 // ----------------------------------------------------------------------
+// Runs that stop part-way (a throw or a cancellation) must stop at the
+// same step with the same partial profile on both engines.
+// ----------------------------------------------------------------------
+
+struct PartialRun {
+    std::string error; ///< empty when the call returned
+    std::uint64_t result_bits = 0;
+    std::string profile_payload;
+};
+
+/// Call `fn` on one engine with profiling on, catching any psaflow error,
+/// and serialize whatever profile the run left behind.
+PartialRun run_partial(ast::Module& mod, const sema::TypeInfo& types,
+                       const std::string& fn, const std::vector<Arg>& args,
+                       Engine engine, InterpOptions options = {}) {
+    options.profile = true;
+    std::vector<ast::Node::Id> loop_order;
+    for (const auto* loop : meta::for_loops(mod))
+        loop_order.push_back(loop->id);
+    PartialRun out;
+    const auto run = [&](auto& machine) {
+        try {
+            const Value v = machine.call(fn, args);
+            if (v.type() == ast::Type::Int) {
+                out.result_bits = static_cast<std::uint64_t>(v.as_int());
+            } else if (v.type() != ast::Type::Void) {
+                const double d = v.as_double();
+                std::memcpy(&out.result_bits, &d, sizeof d);
+            }
+        } catch (const Error& e) {
+            out.error = e.what();
+        }
+        out.profile_payload =
+            analysis::serialize_profile_payload(machine.profile(), loop_order);
+    };
+    if (engine == Engine::Tree) {
+        Interpreter machine(mod, types, options);
+        run(machine);
+    } else {
+        Vm machine(mod, types, options);
+        run(machine);
+    }
+    return out;
+}
+
+void expect_same_partial_run(const PartialRun& tree, const PartialRun& vm) {
+    EXPECT_EQ(tree.error, vm.error);
+    EXPECT_EQ(tree.result_bits, vm.result_bits);
+    EXPECT_EQ(tree.profile_payload, vm.profile_payload);
+}
+
+TEST(VmBuiltins, EveryBuiltinMatchesTreeWalkerBitForBit) {
+    // In-domain, boundary, special and out-of-domain arguments for every
+    // catalog entry; binary builtins take each value against a few
+    // partners. Float-overflowing and denormal doubles exercise the *f
+    // variants' narrowing.
+    const double nan = std::nan("");
+    const double inf = HUGE_VAL;
+    const std::vector<double> xs = {0.5,   2.0,    1e-3,  -0.75,    3.25,
+                                    -2.5,  0.0,    -0.0,  1.0,      -1.0,
+                                    1e308, 1e39,   -1e39, 4.9e-324, 1e-45,
+                                    inf,   -inf,   nan};
+    const std::vector<double> ys = {2.0, -0.5, 0.0, nan};
+    for (const sema::BuiltinInfo& b : sema::all_builtins()) {
+        const std::string name(b.name);
+        SCOPED_TRACE(name);
+        const std::string call =
+            b.arity == 1 ? name + "(x)" : name + "(x, y)";
+        const std::string src = "double f(double x, double y) {\n"
+                                "    double r = " + call + ";\n"
+                                "    return r;\n"
+                                "}\n";
+        auto [mod, types] = parse_and_check(src);
+        for (const double x : xs) {
+            for (const double y : b.arity == 1 ? std::vector<double>{0.0}
+                                               : ys) {
+                SCOPED_TRACE(std::to_string(x) + ", " + std::to_string(y));
+                const std::vector<Arg> args = {Value::of_double(x),
+                                               Value::of_double(y)};
+                expect_same_partial_run(
+                    run_partial(*mod, types, "f", args, Engine::Tree),
+                    run_partial(*mod, types, "f", args, Engine::Vm));
+            }
+        }
+    }
+}
+
+TEST(VmBuiltins, DomainErrorsMatchOnBothEngines) {
+    const struct {
+        const char* callee;
+        double arg;
+        const char* message;
+    } cases[] = {
+        {"sqrt", -1.0, "sqrt of negative value"},
+        {"sqrtf", -1.0, "sqrtf of negative value"},
+        {"log", 0.0, "log of non-positive value"},
+        {"logf", 0.0, "logf of non-positive value"},
+        {"sqrt", std::nan(""), "sqrt of negative value"},
+        {"logf", std::nan(""), "logf of non-positive value"},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.callee);
+        auto [mod, types] = parse_and_check(
+            "double f(double x) { return " + std::string(c.callee) +
+            "(x); }");
+        const std::vector<Arg> args = {Value::of_double(c.arg)};
+        const auto tree = run_partial(*mod, types, "f", args, Engine::Tree);
+        const auto vm = run_partial(*mod, types, "f", args, Engine::Vm);
+        EXPECT_EQ(tree.error, c.message);
+        expect_same_partial_run(tree, vm);
+    }
+    // A tiny negative double narrows to -0.0f, inside sqrtf's domain.
+    auto [mod, types] = parse_and_check("double f(double x) { return "
+                                        "sqrtf(x) + sqrt(-x); }");
+    const auto vm = run_partial(*mod, types, "f", {Value::of_double(-1e-60)},
+                                Engine::Vm);
+    EXPECT_EQ(vm.error, "");
+    expect_same_partial_run(
+        run_partial(*mod, types, "f", {Value::of_double(-1e-60)},
+                    Engine::Tree),
+        vm);
+}
+
+/// Charge runs, invariant-limit and computed-limit loops, a variable step,
+/// a while loop and a call: every superinstruction of the lowering.
+constexpr const char* kFusedProgram = R"(double g(double v) {
+    double w = v * 0.5;
+    int k = 1;
+    k = k + 1;
+    return w + k;
+}
+
+double f(int n, int s, double* b) {
+    double acc = 0.0;
+    int m = n;
+    for (int i = 0; i < n; i = i + 1) {
+        double t = b[i];
+        double u = t * 2.0;
+        acc += u;
+        for (int j = 0; j < i + 1; j += s) {
+            acc += g(b[j]);
+        }
+    }
+    while (m > 0) {
+        m = m - 1;
+        acc = acc - 1.0;
+    }
+    return acc;
+}
+)";
+
+std::vector<Arg> fused_args() {
+    auto buf = std::make_shared<Buffer>(ast::Type::Double, 6, "b");
+    for (int i = 0; i < 6; ++i) buf->store(i, 0.25 * i + 1.0);
+    return {Value::of_int(6), Value::of_int(2), buf};
+}
+
+TEST(VmMaxSteps, EveryCutOffMatchesTreeWalker) {
+    // A max_steps at every step of the run: inside ChargeRuns, on LoopNext
+    // and LoopBack back edges, inside calls. Each must throw the same error
+    // with a bit-identical partial profile.
+    auto [mod, types] = parse_and_check(kFusedProgram);
+    const std::string listing = bc::disassemble(bc::compile(*mod, types));
+    for (const char* op : {"ChargeRun", "LoopNext", "LoopInc", "LoopBack"})
+        EXPECT_NE(listing.find(op), std::string::npos) << op;
+
+    InterpOptions unlimited;
+    unlimited.focus_function = "f";
+    const auto full =
+        run_partial(*mod, types, "f", fused_args(), Engine::Tree, unlimited);
+    ASSERT_EQ(full.error, "");
+
+    int cut_offs = 0;
+    for (long long max_steps = 0;; ++max_steps) {
+        InterpOptions options = unlimited;
+        options.max_steps = max_steps;
+        const auto tree =
+            run_partial(*mod, types, "f", fused_args(), Engine::Tree, options);
+        const auto vm =
+            run_partial(*mod, types, "f", fused_args(), Engine::Vm, options);
+        SCOPED_TRACE("max_steps " + std::to_string(max_steps));
+        expect_same_partial_run(tree, vm);
+        if (tree.error.empty()) break;
+        EXPECT_EQ(tree.error, "execution exceeded max_steps (runaway loop?)");
+        ++cut_offs;
+    }
+    EXPECT_GT(cut_offs, 200);
+}
+
+// ----------------------------------------------------------------------
 // Cooperative cancellation: the VM polls the ambient CancelToken on the
 // same step cadence as the tree walker.
 // ----------------------------------------------------------------------
+
+TEST(VmCancellation, PollFiresAtTheSameStepAsTheTreeWalker) {
+    // The first poll is due at step 0x2000. With max_steps exactly there, a
+    // cancelled run must end in CancelledError, never in the max_steps
+    // error of step 0x2001: no fused charge may step over the poll. The
+    // main loop's trip is 8 steps, half of them one ChargeRun; the warm-up
+    // loop (3 steps a trip) shifts where step 0x2000 falls, over every
+    // position of the trip. Both engines stop with the same profile.
+    auto [mod, types] = parse_and_check(R"(int spin(int a, int n) {
+    for (int k = 0; k < a; k = k + 1) {
+        int w = 0;
+    }
+    bool p = true;
+    int acc = 0;
+    for (int i = 0; i < n; i = i + 1) {
+        bool q = p;
+        q = (q && p) && p;
+        acc += i;
+    }
+    return acc;
+}
+)");
+    ASSERT_NE(bc::disassemble(bc::compile(*mod, types)).find("ChargeRun 4"),
+              std::string::npos);
+    InterpOptions options;
+    options.max_steps = 0x2000;
+    CancelToken token;
+    token.cancel();
+    CancelScope scope(&token);
+    for (int a = 0; a < 8; ++a) {
+        SCOPED_TRACE("warm-up trips " + std::to_string(a));
+        const std::vector<Arg> args = {Value::of_int(a),
+                                       Value::of_int(100000)};
+        const auto tree =
+            run_partial(*mod, types, "spin", args, Engine::Tree, options);
+        const auto vm =
+            run_partial(*mod, types, "spin", args, Engine::Vm, options);
+        EXPECT_EQ(tree.error, "request cancelled");
+        expect_same_partial_run(tree, vm);
+    }
+}
 
 TEST(VmCancellation, CancelledTokenUnwindsMidLoop) {
     const char* src = R"(int spin(int n) {
