@@ -20,18 +20,13 @@ namespace {
 std::optional<json::Value> round_trip(const net::Endpoint& upstream,
                                       long long recv_timeout_ms,
                                       const json::Value& request) {
-    std::string error;
-    net::Fd conn = net::connect_endpoint(upstream, &error);
-    if (!conn.valid()) {
-        obs::debug("cluster.cas", "upstream unreachable",
+    std::string payload, error;
+    if (!net::exchange(upstream, json::dump(request), recv_timeout_ms,
+                       payload, &error)) {
+        obs::debug("cluster.cas", "upstream exchange failed",
                    {{"upstream", upstream.describe()}, {"error", error}});
         return std::nullopt;
     }
-    net::set_recv_timeout(conn.get(), recv_timeout_ms);
-    if (!net::write_frame(conn.get(), json::dump(request))) return std::nullopt;
-    std::string payload;
-    if (net::read_frame(conn.get(), payload) != net::FrameStatus::Ok)
-        return std::nullopt;
     return json::parse(payload, nullptr);
 }
 

@@ -1,10 +1,6 @@
 #include "cluster/router.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <filesystem>
 #include <map>
 
 #include "obs/flight.hpp"
@@ -20,29 +16,9 @@
 
 namespace psaflow::cluster {
 
-namespace {
-
-std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-}
-
-/// Send `payload` to `endpoint` and read one response frame. False on any
-/// transport failure — the caller treats the shard as down for this
-/// attempt.
-bool exchange(const net::Endpoint& endpoint, const std::string& payload,
-              long long recv_timeout_ms, std::string& response) {
-    std::string error;
-    net::Fd conn = net::connect_endpoint(endpoint, &error);
-    if (!conn.valid()) return false;
-    net::set_recv_timeout(conn.get(), recv_timeout_ms);
-    if (!net::write_frame(conn.get(), payload)) return false;
-    return net::read_frame(conn.get(), response) == net::FrameStatus::Ok;
-}
-
-} // namespace
+using serve::histogram_value;
+using serve::hit_rate;
+using serve::us_since;
 
 std::optional<ShardConfig> parse_shard_spec(const std::string& spec,
                                             std::string* error) {
@@ -60,7 +36,16 @@ std::optional<ShardConfig> parse_shard_spec(const std::string& spec,
     return config;
 }
 
-Router::Router(RouterOptions options) : options_(std::move(options)) {
+Router::Router(RouterOptions options)
+    : options_(std::move(options)),
+      core_("cluster.router", options_.recv_timeout_ms,
+            [this](std::uint64_t seq) {
+                return [this, rng = SplitMix64(options_.seed ^ seq)](
+                           const json::Value& doc,
+                           const std::string& payload) mutable {
+                    return handle_request(doc, payload, rng);
+                };
+            }) {
     for (const ShardConfig& config : options_.shards) {
         auto shard = std::make_unique<Shard>();
         shard->config = config;
@@ -71,9 +56,7 @@ Router::Router(RouterOptions options) : options_(std::move(options)) {
 Router::~Router() {
     notify_shutdown();
     if (health_thread_.joinable()) health_thread_.join();
-    std::lock_guard lock(readers_mu_);
-    for (std::thread& reader : readers_)
-        if (reader.joinable()) reader.join();
+    // core_, the last member, joins the connection threads after this.
 }
 
 std::optional<std::string> Router::start() {
@@ -83,32 +66,8 @@ std::optional<std::string> Router::start() {
             if (shards_[i]->config.name == shards_[j]->config.name)
                 return "duplicate shard name '" + shards_[i]->config.name +
                        "'";
-    if (options_.socket_path.empty() && options_.listen_tcp.empty())
-        return "no listener configured (need a socket path or --listen)";
-
-    int pipe_fds[2] = {-1, -1};
-    if (::pipe(pipe_fds) != 0) return "cannot create self-pipe";
-    wake_read_.reset(pipe_fds[0]);
-    wake_write_.reset(pipe_fds[1]);
-    ::fcntl(wake_write_.get(), F_SETFL, O_NONBLOCK);
-
-    std::string error;
-    if (!options_.socket_path.empty()) {
-        listen_fd_ = net::listen_unix(options_.socket_path, /*backlog=*/64,
-                                      &error);
-        if (!listen_fd_.valid()) return error;
-    }
-    if (!options_.listen_tcp.empty()) {
-        auto endpoint = net::parse_endpoint(options_.listen_tcp, &error);
-        if (!endpoint.has_value()) return error;
-        if (endpoint->kind != net::Endpoint::Kind::Tcp)
-            return "--listen expects host:port, got '" + options_.listen_tcp +
-                   "'";
-        tcp_listen_fd_ = net::listen_tcp(endpoint->host, endpoint->port,
-                                         /*backlog=*/64, &error);
-        if (!tcp_listen_fd_.valid()) return error;
-        tcp_port_ = net::local_port(tcp_listen_fd_.get());
-    }
+    if (auto error = core_.start(options_.socket_path, options_.listen_tcp))
+        return error;
 
     for (const auto& shard : shards_)
         ring_.add(shard->config.name, options_.vnodes);
@@ -119,51 +78,20 @@ std::optional<std::string> Router::start() {
               {{"socket", options_.socket_path},
                {"tcp", options_.listen_tcp.empty()
                            ? std::string()
-                           : "port " + std::to_string(tcp_port_)},
+                           : "port " + std::to_string(tcp_port())},
                {"shards", std::to_string(shards_.size())}});
     return std::nullopt;
 }
 
 void Router::run() {
-    while (true) {
-        const int ready = net::wait_readable_any(
-            {listen_fd_.get(), tcp_listen_fd_.get(), wake_read_.get()}, -1);
-        const bool is_listener =
-            (listen_fd_.valid() && ready == listen_fd_.get()) ||
-            (tcp_listen_fd_.valid() && ready == tcp_listen_fd_.get());
-        if (!is_listener) break; // shutdown wake (or poll failure)
-        net::Fd conn = net::accept_connection(ready);
-        if (!conn.valid()) continue;
-        std::lock_guard lock(readers_mu_);
-        readers_.emplace_back([this, fd = std::move(conn)]() mutable {
-            serve_connection(std::move(fd));
-        });
-    }
-
-    shutting_down_.store(true);
-    listen_fd_.reset();
-    tcp_listen_fd_.reset();
-    std::error_code ec;
-    if (!options_.socket_path.empty())
-        std::filesystem::remove(options_.socket_path, ec);
+    core_.accept_until_shutdown();
     if (health_thread_.joinable()) health_thread_.join();
-    std::vector<std::thread> readers;
-    {
-        std::lock_guard lock(readers_mu_);
-        readers.swap(readers_);
-    }
-    for (std::thread& reader : readers) reader.join();
+    core_.join_connections();
     obs::info("cluster.router", "router drained",
               {{"relayed", std::to_string(relayed_.load())}});
 }
 
-void Router::notify_shutdown() noexcept {
-    shutting_down_.store(true);
-    if (wake_write_.valid()) {
-        const char byte = 'q';
-        [[maybe_unused]] ssize_t rc = ::write(wake_write_.get(), &byte, 1);
-    }
-}
+void Router::notify_shutdown() noexcept { core_.notify_shutdown(); }
 
 bool Router::usable(const std::string& name) const {
     for (const auto& shard : shards_)
@@ -206,8 +134,8 @@ Router::ForwardOutcome Router::forward(std::uint64_t key,
         }
         ++outcome.attempts;
         shard->routed.fetch_add(1);
-        if (exchange(shard->config.endpoint, payload,
-                     options_.recv_timeout_ms, outcome.response)) {
+        if (net::exchange(shard->config.endpoint, payload,
+                          options_.recv_timeout_ms, outcome.response)) {
             relayed_.fetch_add(1);
             outcome.shard = shard->config.name;
             return outcome; // verbatim relay: byte-identical to direct
@@ -302,25 +230,14 @@ std::string Router::relay(const serve::WireRequest& request,
     return json::dump(rebuilt);
 }
 
-std::string Router::handle_admin(const json::Value& doc) {
-    const json::Value* shard = doc.find("shard");
-    const json::Value* draining = doc.find("draining");
-    if (shard == nullptr || !shard->is_string() || draining == nullptr ||
-        draining->kind != json::Value::Kind::Bool)
+std::string Router::handle_admin(const serve::WireRequest& request) {
+    if (!set_drain(request.drain_shard, request.draining))
         return json::dump(serve::make_error_response(
             serve::ErrorKind::BadRequest,
-            "drain needs string \"shard\" and bool \"draining\""));
-    if (!set_drain(shard->string_value, draining->bool_value))
-        return json::dump(serve::make_error_response(
-            serve::ErrorKind::BadRequest,
-            "unknown shard '" + shard->string_value + "'"));
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(serve::kSchemaVersion)));
-    response.set("type", json::Value::string("drain"));
-    response.set("shard", json::Value::string(shard->string_value));
-    response.set("draining", json::Value::boolean(draining->bool_value));
+            "unknown shard '" + request.drain_shard + "'"));
+    json::Value response = serve::make_ok_response("drain");
+    response.set("shard", json::Value::string(request.drain_shard));
+    response.set("draining", json::Value::boolean(request.draining));
     return json::dump(response);
 }
 
@@ -334,132 +251,60 @@ bool Router::set_drain(const std::string& shard_name, bool draining) {
     return true;
 }
 
-void Router::serve_connection(net::Fd conn) {
-    // Per-connection jitter stream: seeded from the global seed and the
-    // connection sequence so concurrent readers never share RNG state yet
-    // a single-connection test replays exactly.
-    SplitMix64 rng(options_.seed ^ request_seq_.fetch_add(1));
-    while (!shutting_down_.load()) {
-        const int ready =
-            net::wait_readable(conn.get(), wake_read_.get(), -1);
-        if (ready != conn.get()) break;
+std::string Router::handle_request(const json::Value& doc,
+                                   const std::string& payload,
+                                   SplitMix64& rng) {
+    serve::WireRequest request;
+    if (auto error = serve::parse_wire_request(doc, request)) {
+        bad_requests_.fetch_add(1);
+        return json::dump(serve::make_error_response(
+            serve::ErrorKind::BadRequest, *error));
+    }
 
-        std::string payload;
-        const net::FrameStatus status = net::read_frame(conn.get(), payload);
-        if (status == net::FrameStatus::Eof ||
-            status == net::FrameStatus::Error)
-            break;
-        if (status != net::FrameStatus::Ok) {
-            const json::Value response = serve::make_error_response(
-                serve::ErrorKind::BadRequest,
-                std::string("malformed frame: ") + net::to_string(status));
-            (void)net::write_frame(conn.get(), json::dump(response));
-            break;
-        }
+    switch (request.type) {
+    case serve::RequestType::Compile:
+    case serve::RequestType::CasGet:
+    case serve::RequestType::CasPut:
+    case serve::RequestType::Sleep: {
+        // A routed request. The original payload is forwarded untouched so
+        // the shard sees — and the client receives — the exact bytes. (A
+        // *traced* request is the one exception: the router re-points the
+        // trace's parent_span at its own relay span before forwarding, and
+        // wraps the shard's returned spans in that relay span on the way
+        // back.) Keyless requests (sleep) round-robin by sequence number,
+        // but the raw counter must be mixed first: ring positions are
+        // uniform 64-bit hashes, and sequential integers all sit below the
+        // same first vnode — unmixed, every keyless request would land on
+        // one shard.
+        std::uint64_t key = SplitMix64(request_seq_.fetch_add(1)).next_u64();
+        if (request.type == serve::RequestType::Compile)
+            key = serve::affinity_digest(request.compile);
+        else if (request.type != serve::RequestType::Sleep)
+            key = request.cas_key;
+        return relay(request, doc, key, payload, rng);
+    }
+    default: break;
+    }
 
-        requests_.fetch_add(1);
-        std::string parse_error;
-        const auto doc = json::parse(payload, &parse_error);
-        if (!doc.has_value()) {
-            bad_requests_.fetch_add(1);
-            const std::string response =
-                json::dump(serve::make_error_response(
-                    serve::ErrorKind::BadRequest,
-                    "invalid JSON: " + parse_error));
-            if (!net::write_frame(conn.get(), response)) break;
-            continue;
-        }
-
-        const json::Value* type_value = doc->find("type");
-        const std::string type =
-            type_value != nullptr ? type_value->string_or("compile")
-                                  : "compile";
-        std::string response;
-        if (type == "ping") {
-            inline_answers_.fetch_add(1);
-            response = json::dump(serve::make_pong_response());
-        } else if (type == "stats") {
-            inline_answers_.fetch_add(1);
-            response = json::dump(stats_json());
-        } else if (type == "metrics") {
-            inline_answers_.fetch_add(1);
-            json::Value body = json::Value::object();
-            body.set("ok", json::Value::boolean(true));
-            body.set("schema_version",
-                     json::Value::number(double(serve::kSchemaVersion)));
-            body.set("type", json::Value::string("metrics"));
-            body.set("content_type",
-                     json::Value::string(
-                         "text/plain; version=0.0.4; charset=utf-8"));
-            body.set("body", json::Value::string(metrics_text()));
-            response = json::dump(body);
-        } else if (type == "logs") {
-            inline_answers_.fetch_add(1);
-            long long max_records = 100;
-            std::string min_level;
-            if (const json::Value* v = doc->find("max"))
-                max_records = static_cast<long long>(v->number_or(100.0));
-            if (const json::Value* v = doc->find("min_level"))
-                min_level = v->string_or("");
-            response = json::dump(
-                serve::Daemon::logs_json(max_records, min_level));
-        } else if (type == "drain") {
-            inline_answers_.fetch_add(1);
-            response = handle_admin(*doc);
-        } else if (type == "flight") {
-            inline_answers_.fetch_add(1);
-            long long max_records = 0;
-            if (const json::Value* v = doc->find("max"))
-                max_records = static_cast<long long>(v->number_or(0.0));
-            response = json::dump(serve::make_flight_response(
-                obs::FlightRecorder::global(), max_records));
-        } else if (type == "cluster_stats") {
-            inline_answers_.fetch_add(1);
-            response = json::dump(cluster_stats_json());
-        } else if (type == "cluster_metrics") {
-            inline_answers_.fetch_add(1);
-            json::Value body = json::Value::object();
-            body.set("ok", json::Value::boolean(true));
-            body.set("schema_version",
-                     json::Value::number(double(serve::kSchemaVersion)));
-            body.set("type", json::Value::string("cluster_metrics"));
-            body.set("content_type",
-                     json::Value::string(
-                         "text/plain; version=0.0.4; charset=utf-8"));
-            body.set("body", json::Value::string(cluster_metrics_text()));
-            response = json::dump(body);
-        } else {
-            // A routed request. Parse just enough to pick the key; the
-            // original payload is forwarded untouched so the shard sees —
-            // and the client receives — the exact bytes. (A *traced*
-            // request is the one exception: the router re-points the
-            // trace's parent_span at its own relay span before
-            // forwarding, and wraps the shard's returned spans in that
-            // relay span on the way back.)
-            serve::WireRequest request;
-            const auto request_error =
-                serve::parse_wire_request(*doc, request);
-            if (request_error.has_value()) {
-                bad_requests_.fetch_add(1);
-                response = json::dump(serve::make_error_response(
-                    serve::ErrorKind::BadRequest, *request_error));
-            } else {
-                // Keyless requests (e.g. sleep) round-robin by sequence
-                // number, but the raw counter must be mixed first: ring
-                // positions are uniform 64-bit hashes, and sequential
-                // integers all sit below the same first vnode — unmixed,
-                // every keyless request would land on one shard.
-                std::uint64_t key =
-                    SplitMix64(request_seq_.fetch_add(1)).next_u64();
-                if (request.type == serve::RequestType::Compile)
-                    key = serve::affinity_digest(request.compile);
-                else if (request.type == serve::RequestType::CasGet ||
-                         request.type == serve::RequestType::CasPut)
-                    key = request.cas_key;
-                response = relay(request, *doc, key, payload, rng);
-            }
-        }
-        if (!net::write_frame(conn.get(), response)) break;
+    inline_answers_.fetch_add(1);
+    switch (request.type) {
+    case serve::RequestType::Stats: return json::dump(stats_json());
+    case serve::RequestType::Metrics:
+        return json::dump(
+            serve::make_metrics_response("metrics", metrics_text()));
+    case serve::RequestType::Logs:
+        return json::dump(serve::Daemon::logs_json(request.logs_max,
+                                                   request.logs_min_level));
+    case serve::RequestType::Drain: return handle_admin(request);
+    case serve::RequestType::Flight:
+        return json::dump(serve::make_flight_response(
+            obs::FlightRecorder::global(), request.flight_max));
+    case serve::RequestType::ClusterStats:
+        return json::dump(cluster_stats_json());
+    case serve::RequestType::ClusterMetrics:
+        return json::dump(serve::make_metrics_response(
+            "cluster_metrics", cluster_metrics_text()));
+    default: return json::dump(serve::make_pong_response()); // Ping
     }
 }
 
@@ -473,16 +318,16 @@ bool Router::ping_shard(Shard& shard) {
     // ping within the health interval is not usefully alive.
     const long long timeout =
         options_.health_interval_ms > 0 ? options_.health_interval_ms : 500;
-    return exchange(shard.config.endpoint, json::dump(request), timeout,
-                    response);
+    return net::exchange(shard.config.endpoint, json::dump(request), timeout,
+                         response);
 }
 
 void Router::health_loop() {
     const auto interval = std::chrono::milliseconds(
         options_.health_interval_ms > 0 ? options_.health_interval_ms : 500);
-    while (!shutting_down_.load()) {
+    while (!core_.shutting_down()) {
         for (const auto& shard : shards_) {
-            if (shutting_down_.load()) return;
+            if (core_.shutting_down()) return;
             if (ping_shard(*shard)) {
                 shard->ping_failures.store(0);
                 if (!shard->healthy.exchange(true))
@@ -499,7 +344,7 @@ void Router::health_loop() {
         }
         // Sleep in small slices so shutdown stays prompt.
         auto remaining = interval;
-        while (remaining.count() > 0 && !shutting_down_.load()) {
+        while (remaining.count() > 0 && !core_.shutting_down()) {
             const auto slice =
                 std::min(remaining, std::chrono::milliseconds(50));
             std::this_thread::sleep_for(slice);
@@ -526,19 +371,14 @@ std::vector<ShardView> Router::shard_views() const {
 }
 
 json::Value Router::stats_json() {
-    json::Value stats = json::Value::object();
-    stats.set("ok", json::Value::boolean(true));
-    stats.set("schema_version",
-              json::Value::number(double(serve::kSchemaVersion)));
-    stats.set("type", json::Value::string("stats"));
+    json::Value stats = serve::make_ok_response("stats");
     stats.set("role", json::Value::string("router"));
     stats.set("uptime_us", json::Value::number(double(us_since(started_))));
-    stats.set("requests", json::Value::number(double(requests_.load())));
+    stats.set("requests", json::Value::number(double(core_.frames())));
     stats.set("relayed", json::Value::number(double(relayed_.load())));
     stats.set("retries", json::Value::number(double(retries_.load())));
     stats.set("no_shard", json::Value::number(double(no_shard_.load())));
-    stats.set("bad_requests",
-              json::Value::number(double(bad_requests_.load())));
+    stats.set("bad_requests", json::Value::number(double(bad_requests())));
     stats.set("inline_answers",
               json::Value::number(double(inline_answers_.load())));
     json::Value shards = json::Value::array();
@@ -565,7 +405,7 @@ std::string Router::metrics_text() {
                    double(us_since(started_)) / 1e6);
     renderer.counter("psaflow_router_requests_total",
                      "Frames received from clients",
-                     double(requests_.load()));
+                     double(core_.frames()));
     renderer.counter("psaflow_router_relayed_total",
                      "Requests forwarded and answered by a shard",
                      double(relayed_.load()));
@@ -577,7 +417,7 @@ std::string Router::metrics_text() {
                      double(no_shard_.load()));
     renderer.counter("psaflow_router_bad_requests_total",
                      "Malformed client requests",
-                     double(bad_requests_.load()));
+                     double(bad_requests()));
     renderer.counter("psaflow_router_inline_answers_total",
                      "Requests the router answered itself",
                      double(inline_answers_.load()));
@@ -631,38 +471,6 @@ Histogram histogram_from_doc(const json::Value* value) {
                             pair.elements[1].number_or(0.0)));
     }
     return Histogram::from_parts(parts);
-}
-
-/// Same histogram shape the daemon stats endpoint uses (percentiles for
-/// humans, raw buckets so the document stays mergeable downstream).
-json::Value histogram_value(const Histogram& hist) {
-    json::Value out = json::Value::object();
-    out.set("count", json::Value::number(double(hist.count())));
-    out.set("sum", json::Value::number(double(hist.sum())));
-    out.set("min", json::Value::number(double(hist.min())));
-    out.set("max", json::Value::number(double(hist.max())));
-    out.set("mean", json::Value::number(hist.mean()));
-    out.set("p50", json::Value::number(double(hist.percentile(50))));
-    out.set("p90", json::Value::number(double(hist.percentile(90))));
-    out.set("p99", json::Value::number(double(hist.percentile(99))));
-    json::Value buckets = json::Value::array();
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-        const std::uint64_t n = hist.bucket_count(b);
-        if (n == 0) continue;
-        json::Value pair = json::Value::array();
-        pair.push(json::Value::number(double(Histogram::bucket_floor(b))));
-        pair.push(json::Value::number(double(n)));
-        buckets.push(std::move(pair));
-    }
-    out.set("buckets", std::move(buckets));
-    return out;
-}
-
-double hit_rate(std::uint64_t hits, std::uint64_t misses) {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) /
-                            static_cast<double>(total);
 }
 
 /// Everything the two cluster endpoints aggregate from one scrape pass.
@@ -729,8 +537,8 @@ std::vector<Router::ShardScrape> Router::scrape_shards() {
     for (std::size_t i = 0; i < shards_.size(); ++i)
         threads.emplace_back([this, &scrapes, &payload, i] {
             std::string response;
-            if (!exchange(shards_[i]->config.endpoint, payload,
-                          options_.recv_timeout_ms, response))
+            if (!net::exchange(shards_[i]->config.endpoint, payload,
+                               options_.recv_timeout_ms, response))
                 return;
             auto doc = json::parse(response, nullptr);
             if (!doc.has_value()) return;
@@ -746,11 +554,7 @@ std::vector<Router::ShardScrape> Router::scrape_shards() {
 json::Value Router::cluster_stats_json() {
     const std::vector<ShardScrape> scrapes = scrape_shards();
 
-    json::Value stats = json::Value::object();
-    stats.set("ok", json::Value::boolean(true));
-    stats.set("schema_version",
-              json::Value::number(double(serve::kSchemaVersion)));
-    stats.set("type", json::Value::string("cluster_stats"));
+    json::Value stats = serve::make_ok_response("cluster_stats");
     stats.set("role", json::Value::string("router"));
     stats.set("uptime_us", json::Value::number(double(us_since(started_))));
 
@@ -791,22 +595,7 @@ json::Value Router::cluster_stats_json() {
                histogram_value(fleet.request_latency));
     rollup.set("queue_wait_us", histogram_value(fleet.queue_wait));
 
-    const auto counter = [&fleet](const char* name) {
-        auto it = fleet.counters.find(name);
-        return it == fleet.counters.end() ? std::uint64_t{0} : it->second;
-    };
-    json::Value cache = json::Value::object();
-    cache.set("cas_hit_rate",
-              json::Value::number(
-                  hit_rate(counter("cas.hits"), counter("cas.misses"))));
-    cache.set("profile_cache_hit_rate",
-              json::Value::number(
-                  hit_rate(counter("profile_cache.hits"),
-                           counter("profile_cache.misses"))));
-    cache.set("remote_cas_hit_rate",
-              json::Value::number(hit_rate(counter("cas.remote_hits"),
-                                           counter("cas.remote_misses"))));
-    rollup.set("cache", std::move(cache));
+    rollup.set("cache", serve::cache_hit_rates(fleet.counters));
 
     json::Value merged_counters = json::Value::object();
     for (const auto& [name, value] : fleet.counters)
@@ -908,21 +697,16 @@ std::string Router::cluster_metrics_text() {
                        "Merged admission-to-execution wait (all shards)",
                        fleet.queue_wait);
 
-    const auto counter = [&fleet](const char* name) {
-        auto it = fleet.counters.find(name);
-        return it == fleet.counters.end() ? std::uint64_t{0} : it->second;
-    };
-    renderer.gauge("psaflow_cluster_cas_hit_rate",
-                   "Fleet CAS hit rate",
-                   hit_rate(counter("cas.hits"), counter("cas.misses")));
+    renderer.gauge("psaflow_cluster_cas_hit_rate", "Fleet CAS hit rate",
+                   hit_rate(fleet.counters, "cas.hits", "cas.misses"));
     renderer.gauge("psaflow_cluster_profile_cache_hit_rate",
                    "Fleet profile-cache hit rate",
-                   hit_rate(counter("profile_cache.hits"),
-                            counter("profile_cache.misses")));
+                   hit_rate(fleet.counters, "profile_cache.hits",
+                            "profile_cache.misses"));
     renderer.gauge("psaflow_cluster_remote_cas_hit_rate",
                    "Fleet remote-CAS hit rate",
-                   hit_rate(counter("cas.remote_hits"),
-                            counter("cas.remote_misses")));
+                   hit_rate(fleet.counters, "cas.remote_hits",
+                            "cas.remote_misses"));
     for (const auto& [name, value] : fleet.counters)
         renderer.counter(
             obs::sanitize_metric_name(name, "psaflow_cluster_"),

@@ -12,12 +12,25 @@
 //     cas_put     shard; shards pointed at the router with --cas-upstream
 //                 get a shared cluster artifact tier for free.
 //   * sleep     → routed by request sequence (spreads test load).
-//   * ping/stats/metrics/logs → answered by the router itself: its own
-//                 liveness, the cluster view (per-shard health/counters),
-//                 psaflow_router_* Prometheus series, its own log ring.
+//   * ping/stats/metrics/logs/flight → answered by the router itself: its
+//                 own liveness, the cluster view (per-shard health/counters),
+//                 psaflow_router_* Prometheus series, its own log ring and
+//                 flight recorder.
+//   * cluster_stats/cluster_metrics → the fleet fan-in (below).
 //   * drain     → admin: {"type":"drain","shard":"a","draining":true}
 //                 takes a shard out of rotation without killing it (and
 //                 back in with false) for graceful rolling restarts.
+//
+// Every request is validated by serve::parse_wire_request first, exactly
+// as a shard validates it, so the router and a shard reject the same
+// frames (an unsupported schema_version, a negative logs/flight max, …).
+//
+// Threading model: the shared connection core (serve/connection_core.hpp)
+// runs one thread per client connection and reaps it when the connection
+// closes. Each connection's handler owns a backoff-jitter RNG seeded from
+// `seed` and the connection's sequence number. A relay runs on that thread
+// over a fresh shard connection per attempt (net::exchange). Drain: stop
+// accepting, join the health thread, then the connection threads.
 //
 // Failure handling: a transport failure on a shard marks it unhealthy and
 // the request retries on the next ring candidate after a jittered backoff
@@ -32,7 +45,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -40,6 +52,7 @@
 
 #include "cluster/hash_ring.hpp"
 #include "cluster/retry.hpp"
+#include "serve/connection_core.hpp"
 #include "serve/protocol.hpp"
 #include "support/json.hpp"
 #include "support/net.hpp"
@@ -63,7 +76,7 @@ struct RouterOptions {
     long long health_interval_ms = 500;
     int health_failures_to_eject = 2; ///< consecutive ping failures
     BackoffPolicy retry;           ///< failover attempts + backoff window
-    long long recv_timeout_ms = 30000; ///< shard response stall cap
+    long long recv_timeout_ms = 30000; ///< stall cap, shards and clients
     std::uint64_t seed = 0x8a5cd789635d2dffULL; ///< backoff jitter seed
 };
 
@@ -96,7 +109,7 @@ public:
     /// Async-signal-safe shutdown request (self-pipe write).
     void notify_shutdown() noexcept;
 
-    [[nodiscard]] std::uint16_t tcp_port() const { return tcp_port_; }
+    [[nodiscard]] std::uint16_t tcp_port() const { return core_.tcp_port(); }
 
     /// Cluster stats document ({"type":"stats"} answered by the router).
     [[nodiscard]] json::Value stats_json();
@@ -137,7 +150,10 @@ private:
         std::atomic<std::uint64_t> rerouted_away{0};
     };
 
-    void serve_connection(net::Fd conn);
+    /// The connection handler: one parsed request in, its response out.
+    [[nodiscard]] std::string handle_request(const json::Value& doc,
+                                             const std::string& payload,
+                                             SplitMix64& rng);
     /// One relayed request's outcome: the response to send back plus the
     /// relay telemetry the flight recorder wants.
     struct ForwardOutcome {
@@ -165,32 +181,29 @@ private:
     };
     /// Scrape every shard concurrently, in shards_ order.
     [[nodiscard]] std::vector<ShardScrape> scrape_shards();
-    [[nodiscard]] std::string handle_admin(const json::Value& doc);
+    [[nodiscard]] std::string handle_admin(const serve::WireRequest& request);
     void health_loop();
     [[nodiscard]] bool ping_shard(Shard& shard);
     [[nodiscard]] Shard* find_shard(const std::string& name);
     [[nodiscard]] bool usable(const std::string& name) const;
+    /// Requests answered bad_request: unparseable here or in the core.
+    [[nodiscard]] std::uint64_t bad_requests() const {
+        return bad_requests_.load() + core_.invalid_json();
+    }
 
     RouterOptions options_;
     HashRing ring_; ///< immutable after start(); health is a predicate
     std::vector<std::unique_ptr<Shard>> shards_;
-    net::Fd listen_fd_;
-    net::Fd tcp_listen_fd_;
-    std::uint16_t tcp_port_ = 0;
-    net::Fd wake_read_;
-    net::Fd wake_write_;
     std::thread health_thread_;
-    std::vector<std::thread> readers_;
-    std::mutex readers_mu_;
-    std::atomic<bool> shutting_down_{false};
     std::atomic<std::uint64_t> request_seq_{0};
-    std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> relayed_{0};
     std::atomic<std::uint64_t> retries_{0};
     std::atomic<std::uint64_t> no_shard_{0};
     std::atomic<std::uint64_t> bad_requests_{0};
     std::atomic<std::uint64_t> inline_answers_{0};
     std::chrono::steady_clock::time_point started_;
+
+    serve::ConnectionCore core_; ///< last member: its threads use the above
 };
 
 } // namespace psaflow::cluster

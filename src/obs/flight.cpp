@@ -89,10 +89,12 @@ FlightRecorder::snapshot(std::size_t max_records) const {
         const std::uint64_t v1 =
             slot.version.load(std::memory_order_acquire);
         if (v1 == 0 || (v1 & 1) != 0) continue; // empty or mid-write
+        // Acquire loads keep the version re-check below after them (the
+        // same order an acquire fence after relaxed loads gives, in a form
+        // ThreadSanitizer models; it does not model fences).
         std::uint64_t words[kWords];
         for (std::size_t w = 0; w < kWords; ++w)
-            words[w] = slot.words[w].load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
+            words[w] = slot.words[w].load(std::memory_order_acquire);
         if (slot.version.load(std::memory_order_relaxed) != v1)
             continue; // torn: a writer replaced the slot mid-copy
         FlightRecord rec;

@@ -96,7 +96,7 @@ std::string LogRecord::to_line() const {
 #else
     gmtime_r(&seconds, &tm_utc);
 #endif
-    char stamp[40];
+    char stamp[80]; // room for the widest ints the format could print
     std::snprintf(stamp, sizeof stamp,
                   "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", tm_utc.tm_year + 1900,
                   tm_utc.tm_mon + 1, tm_utc.tm_mday, tm_utc.tm_hour,

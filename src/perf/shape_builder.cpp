@@ -59,7 +59,7 @@ int estimate_regs_per_thread(const Function& kernel, bool double_precision) {
 }
 
 platform::KernelShape
-build_kernel_shape(const Function& kernel, const sema::TypeInfo& types,
+build_kernel_shape(const Function& kernel, const sema::TypeInfo& /*types*/,
                    const Module& module, const KernelCharacterization& ch,
                    const ShapeOptions& options) {
     const double s = options.relative_scale;

@@ -79,6 +79,17 @@ std::optional<std::string> parse_wire_request(const json::Value& doc,
         out.type = RequestType::ClusterMetrics;
         return std::nullopt;
     }
+    if (type == "drain") {
+        out.type = RequestType::Drain;
+        const json::Value* shard = doc.find("shard");
+        const json::Value* draining = doc.find("draining");
+        if (shard == nullptr || !shard->is_string() || draining == nullptr ||
+            !draining->is_bool())
+            return "drain needs string \"shard\" and bool \"draining\"";
+        out.drain_shard = shard->string_value;
+        out.draining = draining->bool_value;
+        return std::nullopt;
+    }
     if (type == "sleep") {
         out.type = RequestType::Sleep;
         if (const json::Value* v = doc.find("ms"))
@@ -90,6 +101,15 @@ std::optional<std::string> parse_wire_request(const json::Value& doc,
         return std::nullopt;
     }
     return "unknown request type '" + type + "'";
+}
+
+json::Value make_ok_response(const std::string& type) {
+    json::Value response = json::Value::object();
+    response.set("ok", json::Value::boolean(true));
+    response.set("schema_version",
+                 json::Value::number(double(kSchemaVersion)));
+    response.set("type", json::Value::string(type));
+    return response;
 }
 
 json::Value make_error_response(ErrorKind kind, const std::string& message,
@@ -108,11 +128,7 @@ json::Value make_error_response(ErrorKind kind, const std::string& message,
 
 json::Value make_compile_response(const CompileRequest& req,
                                   const CompileOutcome& outcome) {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("compile"));
+    json::Value response = make_ok_response("compile");
     response.set("app", json::Value::string(req.app));
     response.set("mode", json::Value::string(req.mode));
     response.set("design_count",
@@ -149,11 +165,7 @@ json::Value make_compile_response(const CompileRequest& req,
 }
 
 json::Value make_cas_get_response(const std::optional<std::string>& payload) {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("cas_get"));
+    json::Value response = make_ok_response("cas_get");
     response.set("found", json::Value::boolean(payload.has_value()));
     if (payload.has_value())
         response.set("payload", json::Value::string(base64_encode(*payload)));
@@ -162,11 +174,7 @@ json::Value make_cas_get_response(const std::optional<std::string>& payload) {
 
 json::Value make_flight_response(const obs::FlightRecorder& recorder,
                                  long long max_records) {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("flight"));
+    json::Value response = make_ok_response("flight");
     response.set("capacity",
                  json::Value::number(double(recorder.capacity())));
     response.set("total", json::Value::number(double(recorder.total())));
@@ -185,21 +193,18 @@ json::Value make_flight_response(const obs::FlightRecorder& recorder,
 }
 
 json::Value make_cas_put_response(bool stored) {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("cas_put"));
+    json::Value response = make_ok_response("cas_put");
     response.set("stored", json::Value::boolean(stored));
     return response;
 }
 
-json::Value make_pong_response() {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("pong"));
+json::Value make_pong_response() { return make_ok_response("pong"); }
+
+json::Value make_metrics_response(const std::string& type, std::string body) {
+    json::Value response = make_ok_response(type);
+    response.set("content_type",
+                 json::Value::string("text/plain; version=0.0.4"));
+    response.set("body", json::Value::string(std::move(body)));
     return response;
 }
 
@@ -222,6 +227,62 @@ std::optional<ResponseView> parse_response(const json::Value& doc) {
     if (const json::Value* v = doc.find("retry_after_ms"))
         view.retry_after_ms = static_cast<long long>(v->number_or(0.0));
     return view;
+}
+
+json::Value histogram_value(const Histogram& hist) {
+    json::Value out = json::Value::object();
+    out.set("count", json::Value::number(double(hist.count())));
+    out.set("sum", json::Value::number(double(hist.sum())));
+    out.set("min", json::Value::number(double(hist.min())));
+    out.set("max", json::Value::number(double(hist.max())));
+    out.set("mean", json::Value::number(hist.mean()));
+    out.set("p50", json::Value::number(double(hist.percentile(50))));
+    out.set("p90", json::Value::number(double(hist.percentile(90))));
+    out.set("p99", json::Value::number(double(hist.percentile(99))));
+    json::Value buckets = json::Value::array();
+    for (int b = 0; b < Histogram::kBuckets; ++b) {
+        const std::uint64_t n = hist.bucket_count(b);
+        if (n == 0) continue;
+        json::Value pair = json::Value::array();
+        pair.push(json::Value::number(double(Histogram::bucket_floor(b))));
+        pair.push(json::Value::number(double(n)));
+        buckets.push(std::move(pair));
+    }
+    out.set("buckets", std::move(buckets));
+    return out;
+}
+
+double hit_rate(const std::map<std::string, std::uint64_t>& counters,
+                const char* hits, const char* misses) {
+    const auto count = [&](const char* name) {
+        const auto it = counters.find(name);
+        return it == counters.end() ? std::uint64_t{0} : it->second;
+    };
+    const std::uint64_t total = count(hits) + count(misses);
+    return total == 0 ? 0.0
+                      : static_cast<double>(count(hits)) /
+                            static_cast<double>(total);
+}
+
+json::Value
+cache_hit_rates(const std::map<std::string, std::uint64_t>& counters) {
+    json::Value cache = json::Value::object();
+    cache.set("cas_hit_rate", json::Value::number(hit_rate(
+                                  counters, "cas.hits", "cas.misses")));
+    cache.set("profile_cache_hit_rate",
+              json::Value::number(hit_rate(counters, "profile_cache.hits",
+                                           "profile_cache.misses")));
+    cache.set("remote_cas_hit_rate",
+              json::Value::number(hit_rate(counters, "cas.remote_hits",
+                                           "cas.remote_misses")));
+    return cache;
+}
+
+std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
 }
 
 } // namespace psaflow::serve

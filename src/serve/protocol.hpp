@@ -44,8 +44,10 @@
 //       by daemons (their completions) and routers (their relays).
 //   {"type":"cluster_stats"} / {"type":"cluster_metrics"} — router only:
 //       scrape every live shard concurrently and return the fleet view
-//       (merged histograms + counters with per-shard labels). A daemon
-//       rejects these with bad_request pointing at the router.
+//       (merged histograms + counters with per-shard labels).
+//   {"type":"drain", "shard":"a", "draining":true} — router only: take a
+//       shard out of rotation (false puts it back). A daemon rejects the
+//       router-only types with bad_request pointing at the router.
 //
 // Any request may additionally carry a "trace" member (wire_trace.hpp):
 //   "trace": {"trace_id":"<16-hex>", "parent_span":N}
@@ -60,7 +62,9 @@
 //    "retry_after_ms":N}            — retry_after_ms only on overloaded.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -68,6 +72,7 @@
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 #include "serve/wire_trace.hpp"
+#include "support/histogram.hpp"
 #include "support/json.hpp"
 
 namespace psaflow::serve {
@@ -88,6 +93,7 @@ enum class RequestType {
     Flight,
     ClusterStats,
     ClusterMetrics,
+    Drain,
 };
 
 struct WireRequest {
@@ -100,6 +106,8 @@ struct WireRequest {
     std::uint64_t cas_key = 0;  ///< valid when type == CasGet/CasPut
     std::string cas_payload;    ///< decoded bytes, valid when type == CasPut
     long long flight_max = 0;   ///< valid when type == Flight (0 = all)
+    std::string drain_shard;    ///< valid when type == Drain
+    bool draining = false;      ///< valid when type == Drain
     WireTraceContext trace;     ///< distributed trace context (any type)
 };
 
@@ -109,12 +117,18 @@ struct WireRequest {
 parse_wire_request(const json::Value& doc, WireRequest& out);
 
 /// Response builders (serialise with json::dump before framing).
+/// The envelope every successful response starts from: ok, the schema
+/// version and the response type.
+[[nodiscard]] json::Value make_ok_response(const std::string& type);
 [[nodiscard]] json::Value make_error_response(ErrorKind kind,
                                               const std::string& message,
                                               long long retry_after_ms = 0);
 [[nodiscard]] json::Value make_compile_response(const CompileRequest& req,
                                                 const CompileOutcome& outcome);
 [[nodiscard]] json::Value make_pong_response();
+/// metrics/cluster_metrics response: a Prometheus text-format `body`.
+[[nodiscard]] json::Value make_metrics_response(const std::string& type,
+                                                std::string body);
 
 /// cas_get response: "found" + base64 "payload" when present.
 [[nodiscard]] json::Value
@@ -140,5 +154,28 @@ struct ResponseView {
 /// (not a ResponseView) when the document is not a response object at all.
 [[nodiscard]] std::optional<ResponseView>
 parse_response(const json::Value& doc);
+
+// Stats-document helpers shared by psaflowd and psaflow-router.
+
+/// A histogram as the stats documents carry it: percentiles for humans
+/// plus the raw [floor, count] buckets, which let a router rebuild it
+/// (Histogram::from_parts) and merge shards into fleet metrics whose
+/// bucket counts sum exactly.
+[[nodiscard]] json::Value histogram_value(const Histogram& hist);
+
+/// hits / (hits + misses) for two trace counters in `counters` (absent
+/// counters count 0); 0 when both are 0.
+[[nodiscard]] double
+hit_rate(const std::map<std::string, std::uint64_t>& counters,
+         const char* hits, const char* misses);
+
+/// The "cache" member of a stats document: the CAS, profile-cache and
+/// remote-CAS hit rates of a trace-counter map.
+[[nodiscard]] json::Value
+cache_hit_rates(const std::map<std::string, std::uint64_t>& counters);
+
+/// Microseconds elapsed since `start`.
+[[nodiscard]] std::uint64_t
+us_since(std::chrono::steady_clock::time_point start);
 
 } // namespace psaflow::serve

@@ -1,8 +1,5 @@
 #include "serve/server.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <filesystem>
 #include <thread>
 
@@ -16,51 +13,6 @@
 namespace psaflow::serve {
 
 namespace {
-
-/// Histogram summary for the stats document: percentiles for humans plus
-/// the raw [floor, count] buckets — the buckets are what lets a router
-/// rebuild this histogram (Histogram::from_parts) and merge shards into
-/// fleet metrics whose bucket counts sum exactly.
-json::Value histogram_value(const Histogram& hist) {
-    json::Value out = json::Value::object();
-    out.set("count", json::Value::number(double(hist.count())));
-    out.set("sum", json::Value::number(double(hist.sum())));
-    out.set("min", json::Value::number(double(hist.min())));
-    out.set("max", json::Value::number(double(hist.max())));
-    out.set("mean", json::Value::number(hist.mean()));
-    out.set("p50", json::Value::number(double(hist.percentile(50))));
-    out.set("p90", json::Value::number(double(hist.percentile(90))));
-    out.set("p99", json::Value::number(double(hist.percentile(99))));
-    json::Value buckets = json::Value::array();
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-        const std::uint64_t n = hist.bucket_count(b);
-        if (n == 0) continue;
-        json::Value pair = json::Value::array();
-        pair.push(json::Value::number(double(Histogram::bucket_floor(b))));
-        pair.push(json::Value::number(double(n)));
-        buckets.push(std::move(pair));
-    }
-    out.set("buckets", std::move(buckets));
-    return out;
-}
-
-[[nodiscard]] double hit_rate(std::uint64_t hits, std::uint64_t misses) {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) /
-                            static_cast<double>(total);
-}
-
-std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-}
-
-} // namespace
-
-namespace {
 DaemonOptions normalized(DaemonOptions options) {
     if (options.workers < 1) options.workers = 1;
     return options;
@@ -70,18 +22,21 @@ DaemonOptions normalized(DaemonOptions options) {
 Daemon::Daemon(DaemonOptions options)
     : options_(normalized(std::move(options))),
       queue_(options_.queue_depth == 0 ? 1 : options_.queue_depth,
-             kPriorityLanes, static_cast<std::size_t>(options_.workers)) {}
+             kPriorityLanes, static_cast<std::size_t>(options_.workers)),
+      core_("serve", options_.recv_timeout_ms, [this](std::uint64_t) {
+          return [this](const json::Value& doc, const std::string&) {
+              return handle_request(doc);
+          };
+      }) {}
 
 Daemon::~Daemon() {
     notify_shutdown();
     // run() performs the orderly drain; this is the fallback for a daemon
     // that was started but whose run() never ran (tests, early exits).
+    // core_, the last member, joins the connection threads after this.
     queue_.close();
     for (std::thread& worker : workers_)
         if (worker.joinable()) worker.join();
-    std::lock_guard lock(readers_mu_);
-    for (std::thread& reader : readers_)
-        if (reader.joinable()) reader.join();
 }
 
 std::optional<std::string> Daemon::start() {
@@ -91,32 +46,8 @@ std::optional<std::string> Daemon::start() {
         obs::FlightRecorder::global().set_slo_us(
             static_cast<std::uint64_t>(options_.slo_ms) * 1000);
 
-    int pipe_fds[2] = {-1, -1};
-    if (::pipe(pipe_fds) != 0) return "cannot create self-pipe";
-    wake_read_.reset(pipe_fds[0]);
-    wake_write_.reset(pipe_fds[1]);
-    ::fcntl(wake_write_.get(), F_SETFL, O_NONBLOCK);
-
-    if (options_.socket_path.empty() && options_.listen_tcp.empty())
-        return "no listener configured (need a socket path or --listen)";
-
-    std::string error;
-    if (!options_.socket_path.empty()) {
-        listen_fd_ = net::listen_unix(options_.socket_path, /*backlog=*/64,
-                                      &error);
-        if (!listen_fd_.valid()) return error;
-    }
-    if (!options_.listen_tcp.empty()) {
-        auto endpoint = net::parse_endpoint(options_.listen_tcp, &error);
-        if (!endpoint.has_value()) return error;
-        if (endpoint->kind != net::Endpoint::Kind::Tcp)
-            return "--listen expects host:port, got '" + options_.listen_tcp +
-                   "'";
-        tcp_listen_fd_ = net::listen_tcp(endpoint->host, endpoint->port,
-                                         /*backlog=*/64, &error);
-        if (!tcp_listen_fd_.valid()) return error;
-        tcp_port_ = net::local_port(tcp_listen_fd_.get());
-    }
+    if (auto error = core_.start(options_.socket_path, options_.listen_tcp))
+        return error;
 
     started_ = std::chrono::steady_clock::now();
     workers_.reserve(static_cast<std::size_t>(options_.workers));
@@ -127,7 +58,7 @@ std::optional<std::string> Daemon::start() {
               {{"socket", options_.socket_path},
                {"tcp", options_.listen_tcp.empty()
                            ? std::string()
-                           : "port " + std::to_string(tcp_port_)},
+                           : "port " + std::to_string(tcp_port())},
                {"shard", options_.shard_name},
                {"workers", std::to_string(options_.workers)},
                {"queue_depth", std::to_string(options_.queue_depth)}});
@@ -135,177 +66,87 @@ std::optional<std::string> Daemon::start() {
 }
 
 void Daemon::run() {
-    while (true) {
-        const int ready = net::wait_readable_any(
-            {listen_fd_.get(), tcp_listen_fd_.get(), wake_read_.get()}, -1);
-        const bool is_listener =
-            (listen_fd_.valid() && ready == listen_fd_.get()) ||
-            (tcp_listen_fd_.valid() && ready == tcp_listen_fd_.get());
-        if (!is_listener) break; // shutdown wake (or poll failure)
-        net::Fd conn = net::accept_connection(ready);
-        if (!conn.valid()) continue;
-        {
-            std::lock_guard lock(stats_mu_);
-            ++counters_.connections;
-        }
-        std::lock_guard lock(readers_mu_);
-        readers_.emplace_back(
-            [this, fd = std::move(conn)]() mutable {
-                serve_connection(std::move(fd));
-            });
-    }
-
-    // Drain: stop accepting, finish everything admitted, then leave no
-    // trace on disk — the smoke test asserts the socket file is gone.
-    shutting_down_.store(true);
-    listen_fd_.reset();
-    tcp_listen_fd_.reset();
-    std::error_code ec;
-    if (!options_.socket_path.empty())
-        std::filesystem::remove(options_.socket_path, ec);
+    core_.accept_until_shutdown();
     queue_.close();
     for (std::thread& worker : workers_) worker.join();
     workers_.clear();
-    std::vector<std::thread> readers;
-    {
-        std::lock_guard lock(readers_mu_);
-        readers.swap(readers_);
-    }
-    for (std::thread& reader : readers) reader.join();
+    core_.join_connections();
     obs::info("serve", "daemon drained",
               {{"completed", std::to_string(counters().completed)}});
 }
 
-void Daemon::notify_shutdown() noexcept {
-    shutting_down_.store(true);
-    if (wake_write_.valid()) {
-        const char byte = 'q';
-        [[maybe_unused]] ssize_t rc = ::write(wake_write_.get(), &byte, 1);
-    }
-}
+void Daemon::notify_shutdown() noexcept { core_.notify_shutdown(); }
 
-void Daemon::serve_connection(net::Fd conn) {
-    net::set_recv_timeout(conn.get(), options_.recv_timeout_ms);
-    while (!shutting_down_.load()) {
-        const int ready =
-            net::wait_readable(conn.get(), wake_read_.get(), -1);
-        if (ready != conn.get()) break; // shutdown wake or poll failure
-
-        std::string payload;
-        const net::FrameStatus status = net::read_frame(conn.get(), payload);
-        if (status == net::FrameStatus::Eof ||
-            status == net::FrameStatus::Error)
-            break;
-        if (status != net::FrameStatus::Ok) {
-            // Torn/oversized frames get a structured complaint; the stream
-            // is unsynchronised afterwards, so the connection closes.
-            obs::warn("serve", "malformed frame, closing connection",
-                      {{"status", net::to_string(status)}});
-            const json::Value response = make_error_response(
-                ErrorKind::BadRequest,
-                std::string("malformed frame: ") + net::to_string(status));
-            (void)net::write_frame(conn.get(), json::dump(response));
-            break;
-        }
-
-        std::string parse_error;
-        const auto doc = json::parse(payload, &parse_error);
-        std::string response;
-        if (!doc.has_value()) {
-            {
-                std::lock_guard lock(stats_mu_);
-                ++counters_.requests;
-                ++counters_.bad_requests;
-            }
-            response = json::dump(make_error_response(
-                ErrorKind::BadRequest, "invalid JSON: " + parse_error));
-            if (!net::write_frame(conn.get(), response)) break;
-            continue;
-        }
-
-        WireRequest request;
-        auto request_error = parse_wire_request(*doc, request);
-        if (!request_error.has_value() &&
-            request.type == RequestType::Sleep &&
-            !options_.enable_test_endpoints)
-            request_error = "unknown request type 'sleep'";
-        if (!request_error.has_value() &&
-            (request.type == RequestType::ClusterStats ||
-             request.type == RequestType::ClusterMetrics))
-            request_error = "cluster requests are answered by "
-                            "psaflow-router, not a shard";
+std::string Daemon::handle_request(const json::Value& doc) {
+    WireRequest request;
+    auto request_error = parse_wire_request(doc, request);
+    if (!request_error.has_value() && request.type == RequestType::Sleep &&
+        !options_.enable_test_endpoints)
+        request_error = "unknown request type 'sleep'";
+    if (!request_error.has_value() &&
+        (request.type == RequestType::ClusterStats ||
+         request.type == RequestType::ClusterMetrics ||
+         request.type == RequestType::Drain))
+        request_error = "cluster requests are answered by "
+                        "psaflow-router, not a shard";
+    if (request_error.has_value()) {
         {
             std::lock_guard lock(stats_mu_);
-            ++counters_.requests;
-            if (request_error.has_value()) ++counters_.bad_requests;
+            ++counters_.bad_requests;
         }
-        if (request_error.has_value()) {
-            response = json::dump(make_error_response(ErrorKind::BadRequest,
-                                                      *request_error));
-            if (!net::write_frame(conn.get(), response)) break;
-            continue;
-        }
-
-        if (request.type == RequestType::Ping ||
-            request.type == RequestType::Stats ||
-            request.type == RequestType::Metrics ||
-            request.type == RequestType::Logs ||
-            request.type == RequestType::CasGet ||
-            request.type == RequestType::CasPut ||
-            request.type == RequestType::Flight) {
-            response = handle_inline(request);
-            if (!net::write_frame(conn.get(), response)) break;
-            continue;
-        }
-
-        // A queued job: resolve the output directory, arm the deadline at
-        // receipt (queue wait counts against it), and admit or reject.
-        auto job = std::make_shared<Job>();
-        job->request = std::move(request);
-        job->received = std::chrono::steady_clock::now();
-        std::size_t lane = 0;
-        std::uint64_t affinity = request_seq_.load();
-        if (job->request.type == RequestType::Compile) {
-            CompileRequest& compile = job->request.compile;
-            if (compile.deadline_ms == 0)
-                compile.deadline_ms = options_.default_deadline_ms;
-            if (compile.out_dir.empty())
-                compile.out_dir =
-                    (std::filesystem::path(options_.out_root) /
-                     (compile.app + "-" +
-                      std::to_string(request_seq_.fetch_add(1))))
-                        .string();
-            else if (!std::filesystem::path(compile.out_dir).is_absolute())
-                compile.out_dir = (std::filesystem::path(options_.out_root) /
-                                   compile.out_dir)
-                                      .string();
-            if (compile.deadline_ms > 0)
-                job->token.set_deadline_after(
-                    std::chrono::milliseconds(compile.deadline_ms));
-            lane = static_cast<std::size_t>(compile.priority);
-            affinity = affinity_digest(compile);
-        } else if (job->request.deadline_ms > 0) {
-            job->token.set_deadline_after(
-                std::chrono::milliseconds(job->request.deadline_ms));
-        }
-
-        std::future<std::string> done = job->response.get_future();
-        if (!queue_.try_push(job, lane, affinity)) {
-            {
-                std::lock_guard lock(stats_mu_);
-                ++counters_.rejected_overload;
-            }
-            response = json::dump(make_error_response(
-                ErrorKind::Overloaded,
-                queue_.closed() ? "daemon is draining"
-                                : "admission queue is full",
-                retry_after_ms_hint()));
-            if (!net::write_frame(conn.get(), response)) break;
-            continue;
-        }
-        response = done.get();
-        if (!net::write_frame(conn.get(), response)) break;
+        return json::dump(
+            make_error_response(ErrorKind::BadRequest, *request_error));
     }
+
+    // Everything but compile and sleep is answered without queueing.
+    if (request.type != RequestType::Compile &&
+        request.type != RequestType::Sleep)
+        return handle_inline(request);
+
+    // A queued job: resolve the output directory, arm the deadline at
+    // receipt (queue wait counts against it), and admit or reject.
+    auto job = std::make_shared<Job>();
+    job->request = std::move(request);
+    job->received = std::chrono::steady_clock::now();
+    std::size_t lane = 0;
+    std::uint64_t affinity = request_seq_.load();
+    if (job->request.type == RequestType::Compile) {
+        CompileRequest& compile = job->request.compile;
+        if (compile.deadline_ms == 0)
+            compile.deadline_ms = options_.default_deadline_ms;
+        if (compile.out_dir.empty())
+            compile.out_dir =
+                (std::filesystem::path(options_.out_root) /
+                 (compile.app + "-" +
+                  std::to_string(request_seq_.fetch_add(1))))
+                    .string();
+        else if (!std::filesystem::path(compile.out_dir).is_absolute())
+            compile.out_dir = (std::filesystem::path(options_.out_root) /
+                               compile.out_dir)
+                                  .string();
+        if (compile.deadline_ms > 0)
+            job->token.set_deadline_after(
+                std::chrono::milliseconds(compile.deadline_ms));
+        lane = static_cast<std::size_t>(compile.priority);
+        affinity = affinity_digest(compile);
+    } else if (job->request.deadline_ms > 0) {
+        job->token.set_deadline_after(
+            std::chrono::milliseconds(job->request.deadline_ms));
+    }
+
+    std::future<std::string> done = job->response.get_future();
+    if (!queue_.try_push(job, lane, affinity)) {
+        {
+            std::lock_guard lock(stats_mu_);
+            ++counters_.rejected_overload;
+        }
+        return json::dump(make_error_response(
+            ErrorKind::Overloaded,
+            queue_.closed() ? "daemon is draining"
+                            : "admission queue is full",
+            retry_after_ms_hint()));
+    }
+    return done.get();
 }
 
 void Daemon::worker_loop(std::size_t worker_index) {
@@ -389,41 +230,16 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
                 ErrorKind::DeadlineExceeded,
                 std::string("flow failed: ") + job.token.reason())));
         } else {
-            json::Value ok = json::Value::object();
-            ok.set("ok", json::Value::boolean(true));
-            ok.set("schema_version",
-                   json::Value::number(double(kSchemaVersion)));
-            ok.set("type", json::Value::string("sleep"));
+            json::Value ok = make_ok_response("sleep");
             ok.set("slept_ms",
                    json::Value::number(double(job.request.sleep_ms)));
             if (job.request.trace.traced()) {
                 // A traced sleep still reports its hop spans — tests use
                 // sleeps as cheap stand-ins for real service time.
-                const std::uint64_t slept_us =
-                    us_since(job.received) - queue_wait_us;
                 std::vector<trace::Span> spans;
-                trace::Span root;
-                root.name = "serve:request";
-                root.category = "serve";
-                root.id = trace::wire_span_id();
-                root.parent = job.request.trace.parent_span;
-                root.duration_us = queue_wait_us + slept_us;
-                trace::Span queue;
-                queue.name = "serve:queue-wait";
-                queue.category = "serve";
-                queue.id = trace::wire_span_id();
-                queue.parent = root.id;
-                queue.duration_us = queue_wait_us;
-                trace::Span exec;
-                exec.name = "serve:execute";
-                exec.category = "serve";
-                exec.id = trace::wire_span_id();
-                exec.parent = root.id;
-                exec.start_us = queue_wait_us;
-                exec.duration_us = slept_us;
-                spans.push_back(std::move(queue));
-                spans.push_back(std::move(exec));
-                spans.push_back(std::move(root));
+                append_hop_spans(spans, job.request.trace.parent_span,
+                                 trace::wire_span_id(), queue_wait_us,
+                                 us_since(job.received) - queue_wait_us);
                 attach_response_trace(ok, job.request.trace.trace_id,
                                       spans);
             }
@@ -494,17 +310,8 @@ void Daemon::record_outcome(const CompileOutcome& outcome,
 std::string Daemon::handle_inline(const WireRequest& request) {
     if (request.type == RequestType::Stats)
         return json::dump(stats_json());
-    if (request.type == RequestType::Metrics) {
-        json::Value response = json::Value::object();
-        response.set("ok", json::Value::boolean(true));
-        response.set("schema_version",
-                     json::Value::number(double(kSchemaVersion)));
-        response.set("type", json::Value::string("metrics"));
-        response.set("content_type",
-                     json::Value::string("text/plain; version=0.0.4"));
-        response.set("body", json::Value::string(metrics_text()));
-        return json::dump(response);
-    }
+    if (request.type == RequestType::Metrics)
+        return json::dump(make_metrics_response("metrics", metrics_text()));
     if (request.type == RequestType::Logs)
         return json::dump(
             logs_json(request.logs_max, request.logs_min_level));
@@ -565,11 +372,7 @@ long long Daemon::retry_after_ms_hint() {
 }
 
 json::Value Daemon::stats_json() {
-    json::Value stats = json::Value::object();
-    stats.set("ok", json::Value::boolean(true));
-    stats.set("schema_version",
-              json::Value::number(double(kSchemaVersion)));
-    stats.set("type", json::Value::string("stats"));
+    json::Value stats = make_ok_response("stats");
     stats.set("uptime_us", json::Value::number(double(us_since(started_))));
     if (!options_.shard_name.empty())
         stats.set("shard", json::Value::string(options_.shard_name));
@@ -583,25 +386,26 @@ json::Value Daemon::stats_json() {
     stats.set("queue_lane_depths", std::move(lane_depths));
     stats.set("queue_steals", json::Value::number(double(queue_.steals())));
     stats.set("in_flight", json::Value::number(double(in_flight_.load())));
-    stats.set("draining", json::Value::boolean(shutting_down_.load()));
+    stats.set("draining", json::Value::boolean(core_.shutting_down()));
 
+    const DaemonCounters counts = counters();
     std::lock_guard lock(stats_mu_);
     json::Value requests = json::Value::object();
-    requests.set("received", json::Value::number(double(counters_.requests)));
+    requests.set("received", json::Value::number(double(counts.requests)));
     requests.set("completed",
-                 json::Value::number(double(counters_.completed)));
-    requests.set("failed", json::Value::number(double(counters_.failed)));
+                 json::Value::number(double(counts.completed)));
+    requests.set("failed", json::Value::number(double(counts.failed)));
     requests.set("bad_request",
-                 json::Value::number(double(counters_.bad_requests)));
+                 json::Value::number(double(counts.bad_requests)));
     requests.set("rejected_overload",
-                 json::Value::number(double(counters_.rejected_overload)));
+                 json::Value::number(double(counts.rejected_overload)));
     requests.set("deadline_exceeded",
-                 json::Value::number(double(counters_.deadline_exceeded)));
-    requests.set("cas_gets", json::Value::number(double(counters_.cas_gets)));
-    requests.set("cas_puts", json::Value::number(double(counters_.cas_puts)));
+                 json::Value::number(double(counts.deadline_exceeded)));
+    requests.set("cas_gets", json::Value::number(double(counts.cas_gets)));
+    requests.set("cas_puts", json::Value::number(double(counts.cas_puts)));
     stats.set("requests", std::move(requests));
     stats.set("connections",
-              json::Value::number(double(counters_.connections)));
+              json::Value::number(double(counts.connections)));
 
     stats.set("request_latency_us", histogram_value(request_latency_us_));
     stats.set("queue_wait_us", histogram_value(queue_wait_us_));
@@ -616,21 +420,7 @@ json::Value Daemon::stats_json() {
         flow_counters.set(name, json::Value::number(double(value)));
     stats.set("counters", std::move(flow_counters));
 
-    const auto counter = [this](const char* name) {
-        auto it = flow_counters_.find(name);
-        return it == flow_counters_.end() ? std::uint64_t{0} : it->second;
-    };
-    json::Value cache = json::Value::object();
-    cache.set("cas_hit_rate",
-              json::Value::number(
-                  hit_rate(counter("cas.hits"), counter("cas.misses"))));
-    cache.set("profile_cache_hit_rate",
-              json::Value::number(hit_rate(counter("profile_cache.hits"),
-                                           counter("profile_cache.misses"))));
-    cache.set("remote_cas_hit_rate",
-              json::Value::number(hit_rate(counter("cas.remote_hits"),
-                                           counter("cas.remote_misses"))));
-    stats.set("cache", std::move(cache));
+    stats.set("cache", cache_hit_rates(flow_counters_));
     return stats;
 }
 
@@ -657,29 +447,30 @@ std::string Daemon::metrics_text() {
     renderer.gauge("psaflowd_in_flight", "Jobs currently executing",
                    double(in_flight_.load()));
     renderer.gauge("psaflowd_draining", "1 while shutting down",
-                   shutting_down_.load() ? 1.0 : 0.0);
+                   core_.shutting_down() ? 1.0 : 0.0);
 
+    const DaemonCounters counts = counters();
     std::lock_guard lock(stats_mu_);
     const auto tally = [&](const char* label, std::uint64_t value) {
         renderer.counter("psaflowd_requests_total",
                          "Requests by outcome", double(value),
                          {{"outcome", label}});
     };
-    tally("completed", counters_.completed);
-    tally("failed", counters_.failed);
-    tally("bad_request", counters_.bad_requests);
-    tally("rejected_overload", counters_.rejected_overload);
-    tally("deadline_exceeded", counters_.deadline_exceeded);
+    tally("completed", counts.completed);
+    tally("failed", counts.failed);
+    tally("bad_request", counts.bad_requests);
+    tally("rejected_overload", counts.rejected_overload);
+    tally("deadline_exceeded", counts.deadline_exceeded);
     renderer.counter("psaflowd_requests_received_total",
-                     "Request frames received", double(counters_.requests));
+                     "Request frames received", double(counts.requests));
     renderer.counter("psaflowd_connections_total", "Connections accepted",
-                     double(counters_.connections));
+                     double(counts.connections));
     renderer.counter("psaflowd_cas_gets_total",
                      "Remote-CAS reads served to peers",
-                     double(counters_.cas_gets));
+                     double(counts.cas_gets));
     renderer.counter("psaflowd_cas_puts_total",
                      "Remote-CAS writes accepted from peers",
-                     double(counters_.cas_puts));
+                     double(counts.cas_puts));
 
     renderer.histogram("psaflowd_request_latency_us",
                        "Receipt-to-response latency, microseconds",
@@ -708,11 +499,7 @@ json::Value Daemon::logs_json(long long max_records,
     const auto records = logger.recent(
         max_records < 0 ? 0 : static_cast<std::size_t>(max_records), level);
 
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("logs"));
+    json::Value response = make_ok_response("logs");
     response.set("total", json::Value::number(double(logger.total())));
     response.set("dropped", json::Value::number(double(logger.dropped())));
     json::Value out = json::Value::array();
@@ -738,8 +525,15 @@ json::Value Daemon::logs_json(long long max_records,
 }
 
 DaemonCounters Daemon::counters() const {
-    std::lock_guard lock(stats_mu_);
-    return counters_;
+    DaemonCounters out;
+    {
+        std::lock_guard lock(stats_mu_);
+        out = counters_;
+    }
+    out.connections = core_.connections();
+    out.requests = core_.frames();
+    out.bad_requests += core_.invalid_json();
+    return out;
 }
 
 } // namespace psaflow::serve

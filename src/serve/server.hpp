@@ -1,16 +1,19 @@
-// psaflowd's engine room: accept loop, admission control, warm workers.
+// psaflowd's engine room: admission control and warm workers behind the
+// shared connection core (serve/connection_core.hpp).
 //
 // Threading model:
-//   * `run()` (the caller's thread) polls {listen socket, self-pipe};
-//     SIGTERM handlers call `notify_shutdown()` (async-signal-safe) to
-//     write the pipe.
-//   * One reader thread per connection. It answers `ping`/`stats` inline
-//     (so the metrics plane stays responsive while every worker is busy)
-//     and admits `compile`/`sleep` jobs into a BoundedQueue; a full or
-//     closed queue yields an `overloaded` response with a retry hint
-//     derived from the observed p50 latency. The reader then blocks on
-//     the job's future — requests on one connection are served in order,
-//     concurrency comes from concurrent connections.
+//   * `run()` (the caller's thread) runs the core's accept loop; SIGTERM
+//     handlers call `notify_shutdown()` (async-signal-safe) to end it.
+//   * One thread per connection, owned by the core, which reaps it when
+//     the connection closes. For each request it calls the daemon's
+//     handler, which answers `ping`/`stats`/`metrics`/`logs`/`flight`/
+//     `cas_get`/`cas_put` inline (so the metrics plane stays responsive
+//     while every worker is busy) and admits `compile`/`sleep` jobs into a
+//     LaneQueue; a full or closed queue yields an `overloaded` response
+//     with a retry hint derived from the observed p50 latency. The
+//     connection thread then blocks on the job's future — requests on one
+//     connection are served in order, concurrency comes from concurrent
+//     connections.
 //   * `workers` worker threads each own a warm FlowSession (engine jobs
 //     default 1: request-level parallelism, not per-request fan-out) and
 //     drain the queue. Each job's deadline token was armed at *receipt*,
@@ -18,11 +21,12 @@
 //     answered without running. Failures are contained per request —
 //     execute_request never throws.
 //
-// Drain (notify_shutdown): stop accepting (close listener, unlink the
-// socket file), close the queue (admitted jobs still drain), join the
-// workers, then the readers. Every admitted request gets its response
-// before the daemon exits; the CAS needs no flush (entries are published
-// with atomic renames at write time).
+// Drain (notify_shutdown): stop accepting (close listeners, unlink the
+// socket file), close the queue (admitted jobs still drain, later frames
+// get `overloaded: daemon is draining`), join the workers, then the
+// connection threads. Every admitted request gets its response before the
+// daemon exits; the CAS needs no flush (entries are published with atomic
+// renames at write time).
 #pragma once
 
 #include <atomic>
@@ -37,11 +41,11 @@
 #include <thread>
 #include <vector>
 
+#include "serve/connection_core.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
 #include "support/cancel.hpp"
 #include "support/histogram.hpp"
-#include "support/net.hpp"
 
 namespace psaflow::serve {
 
@@ -85,8 +89,8 @@ public:
     Daemon(const Daemon&) = delete;
     Daemon& operator=(const Daemon&) = delete;
 
-    /// Bind the socket, create the self-pipe and start the worker pool.
-    /// Returns an error message on failure (daemon unusable afterwards).
+    /// Bind the listeners and start the worker pool. Returns an error
+    /// message on failure (daemon unusable afterwards).
     [[nodiscard]] std::optional<std::string> start();
 
     /// Accept/serve until notify_shutdown(); returns after a full drain.
@@ -114,7 +118,7 @@ public:
 
     /// The actual TCP port after start() — meaningful when listen_tcp
     /// asked for port 0 (tests, smoke scripts). 0 without a TCP listener.
-    [[nodiscard]] std::uint16_t tcp_port() const { return tcp_port_; }
+    [[nodiscard]] std::uint16_t tcp_port() const { return core_.tcp_port(); }
 
     /// Work-stealing tally of the admission queue (see serve/queue.hpp).
     [[nodiscard]] std::uint64_t queue_steals() const {
@@ -129,7 +133,8 @@ private:
         std::promise<std::string> response; ///< serialised response frame
     };
 
-    void serve_connection(net::Fd conn);
+    /// The connection handler: one parsed request in, its response out.
+    [[nodiscard]] std::string handle_request(const json::Value& doc);
     void worker_loop(std::size_t worker_index);
     void execute_job(flow::FlowSession& session, Job& job);
     [[nodiscard]] std::string handle_inline(const WireRequest& request);
@@ -138,26 +143,20 @@ private:
                         std::uint64_t queue_wait_us);
 
     DaemonOptions options_;
-    net::Fd listen_fd_;
-    net::Fd tcp_listen_fd_;
-    std::uint16_t tcp_port_ = 0;
-    net::Fd wake_read_;
-    net::Fd wake_write_;
     LaneQueue<std::shared_ptr<Job>> queue_;
     std::vector<std::thread> workers_;
-    std::vector<std::thread> readers_;
-    std::mutex readers_mu_;
-    std::atomic<bool> shutting_down_{false};
     std::atomic<std::uint64_t> request_seq_{0};
     std::atomic<std::size_t> in_flight_{0};
     std::chrono::steady_clock::time_point started_;
 
     mutable std::mutex stats_mu_;
-    DaemonCounters counters_;
+    DaemonCounters counters_; ///< connections/requests come from core_
     Histogram request_latency_us_;
     Histogram queue_wait_us_;
     std::map<std::string, Histogram> task_latency_us_;
     std::map<std::string, std::uint64_t> flow_counters_;
+
+    ConnectionCore core_; ///< last member: its threads use all the above
 };
 
 } // namespace psaflow::serve

@@ -8,6 +8,7 @@
 
 #include "core/psaflow.hpp"
 #include "obs/log.hpp"
+#include "serve/wire_trace.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 
@@ -161,7 +162,6 @@ CompileOutcome execute_request(flow::FlowSession& session,
     // synthesized even when span *collection* is off — they come from
     // independent timing, so the cross-process tree stays rooted.
     const bool traced = req_trace != nullptr && req_trace->trace_id != 0;
-    const std::uint64_t root_id = traced ? trace::wire_span_id() : 0;
     const std::uint64_t exec_id = traced ? trace::wire_span_id() : 0;
 
     const auto start = std::chrono::steady_clock::now();
@@ -206,31 +206,8 @@ CompileOutcome execute_request(flow::FlowSession& session,
             exec_us = std::max(exec_us,
                                span.start_us + span.duration_us - queue_us);
         }
-
-        trace::Span queue;
-        queue.name = "serve:queue-wait";
-        queue.category = "serve";
-        queue.id = trace::wire_span_id();
-        queue.parent = root_id;
-        queue.start_us = 0;
-        queue.duration_us = queue_us;
-        trace::Span exec;
-        exec.name = "serve:execute";
-        exec.category = "serve";
-        exec.id = exec_id;
-        exec.parent = root_id;
-        exec.start_us = queue_us;
-        exec.duration_us = exec_us;
-        trace::Span root;
-        root.name = "serve:request";
-        root.category = "serve";
-        root.id = root_id;
-        root.parent = req_trace->parent_span;
-        root.start_us = 0;
-        root.duration_us = queue_us + exec_us;
-        outcome.spans.push_back(std::move(queue));
-        outcome.spans.push_back(std::move(exec));
-        outcome.spans.push_back(std::move(root));
+        append_hop_spans(outcome.spans, req_trace->parent_span, exec_id,
+                         queue_us, exec_us);
     }
     return outcome;
 }

@@ -132,4 +132,27 @@ void nest_spans(std::vector<trace::Span>& children, trace::Span wrapper) {
     children.push_back(std::move(wrapper));
 }
 
+void append_hop_spans(std::vector<trace::Span>& spans, std::uint64_t parent,
+                      std::uint64_t exec_id, std::uint64_t queue_us,
+                      std::uint64_t exec_us) {
+    const auto hop = [](const char* name, std::uint64_t id,
+                        std::uint64_t parent_id, std::uint64_t start_us,
+                        std::uint64_t duration_us) {
+        trace::Span span;
+        span.name = name;
+        span.category = "serve";
+        span.id = id;
+        span.parent = parent_id;
+        span.start_us = start_us;
+        span.duration_us = duration_us;
+        return span;
+    };
+    const std::uint64_t root_id = trace::wire_span_id();
+    spans.push_back(hop("serve:queue-wait", trace::wire_span_id(), root_id, 0,
+                        queue_us));
+    spans.push_back(hop("serve:execute", exec_id, root_id, queue_us, exec_us));
+    spans.push_back(
+        hop("serve:request", root_id, parent, 0, queue_us + exec_us));
+}
+
 } // namespace psaflow::serve

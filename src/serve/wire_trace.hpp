@@ -77,4 +77,12 @@ response_trace_spans(const json::Value& response);
 /// on wrapper.id (that is the parent_span the requester sent).
 void nest_spans(std::vector<trace::Span>& children, trace::Span wrapper);
 
+/// Append a daemon's hop spans for one request, in the order queue-wait,
+/// execute, request: serve:request (parented on `parent`) spans
+/// serve:queue-wait [0, queue_us) and serve:execute (id `exec_id`, so the
+/// request's own spans can parent on it) [queue_us, queue_us + exec_us).
+void append_hop_spans(std::vector<trace::Span>& spans, std::uint64_t parent,
+                      std::uint64_t exec_id, std::uint64_t queue_us,
+                      std::uint64_t exec_us);
+
 } // namespace psaflow::serve

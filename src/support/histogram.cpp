@@ -78,26 +78,4 @@ std::uint64_t Histogram::percentile(double p) const {
     return max_;
 }
 
-std::string Histogram::to_json() const {
-    std::string out = "{\"count\":" + std::to_string(count_);
-    out += ",\"sum\":" + std::to_string(sum_);
-    out += ",\"min\":" + std::to_string(min());
-    out += ",\"max\":" + std::to_string(max_);
-    out += ",\"p50\":" + std::to_string(percentile(50));
-    out += ",\"p90\":" + std::to_string(percentile(90));
-    out += ",\"p99\":" + std::to_string(percentile(99));
-    out += ",\"buckets\":[";
-    bool first = true;
-    for (int b = 0; b < kBuckets; ++b) {
-        const std::uint64_t n = buckets_[static_cast<std::size_t>(b)];
-        if (n == 0) continue;
-        if (!first) out += ",";
-        first = false;
-        out += "[" + std::to_string(bucket_floor(b)) + "," +
-               std::to_string(n) + "]";
-    }
-    out += "]}";
-    return out;
-}
-
 } // namespace psaflow

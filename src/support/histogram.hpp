@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,10 +64,6 @@ public:
     }
     /// Inclusive lower bound of a bucket's value range.
     [[nodiscard]] static std::uint64_t bucket_floor(int bucket);
-
-    /// Compact JSON: {"count":N,"sum":N,"min":N,"max":N,"p50":N,"p90":N,
-    /// "p99":N,"buckets":[[floor,count],...]} with empty buckets elided.
-    [[nodiscard]] std::string to_json() const;
 
 private:
     std::array<std::uint64_t, kBuckets> buckets_{};

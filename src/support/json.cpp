@@ -132,8 +132,20 @@ private:
             return false;
         }
         switch (peek()) {
-            case '{': return parse_object(out);
-            case '[': return parse_array(out);
+            case '{':
+            case '[': {
+                // The recursion below is the only unbounded one: cap it.
+                if (depth_ == kMaxNestingDepth) {
+                    set_error("nesting deeper than " +
+                              std::to_string(kMaxNestingDepth));
+                    return false;
+                }
+                ++depth_;
+                const bool ok =
+                    peek() == '{' ? parse_object(out) : parse_array(out);
+                --depth_;
+                return ok;
+            }
             case '"': {
                 out.kind = Value::Kind::String;
                 return parse_string(out.string_value);
@@ -312,6 +324,7 @@ private:
     std::string_view text_;
     std::string* error_;
     std::size_t pos_ = 0;
+    int depth_ = 0; ///< arrays/objects currently open
 };
 
 } // namespace

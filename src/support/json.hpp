@@ -5,7 +5,8 @@
 // escapes decoded as Latin-1/BMP code points, numbers as double. Parse
 // errors carry a byte offset. dump() round-trips through parse(): object
 // member order is preserved, integral numbers print without an exponent,
-// the rest in shortest-round-trip form.
+// the rest in shortest-round-trip form. Arrays and objects nest at most
+// kMaxNestingDepth deep, so hostile input cannot exhaust the stack.
 #pragma once
 
 #include <optional>
@@ -57,6 +58,11 @@ public:
     [[nodiscard]] double number_or(double def) const;
     [[nodiscard]] bool bool_or(bool def) const;
 };
+
+/// Deepest array/object nesting parse() accepts; deeper input fails with
+/// "nesting deeper than 256 at byte N" (N: offset of the opening bracket
+/// one level too deep).
+inline constexpr int kMaxNestingDepth = 256;
 
 /// Parse one JSON document (trailing whitespace allowed, trailing garbage
 /// rejected). On failure returns nullopt and, when `error` is non-null,

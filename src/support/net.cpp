@@ -315,16 +315,26 @@ Fd connect_tcp(const std::string& host, std::uint16_t port,
     return Fd();
 }
 
-Fd listen_endpoint(const Endpoint& ep, int backlog, std::string* error) {
-    if (ep.kind == Endpoint::Kind::Unix)
-        return listen_unix(ep.path, backlog, error);
-    return listen_tcp(ep.host, ep.port, backlog, error);
-}
-
 Fd connect_endpoint(const Endpoint& ep, std::string* error) {
     if (ep.kind == Endpoint::Kind::Unix)
         return connect_unix(ep.path, error);
     return connect_tcp(ep.host, ep.port, error);
+}
+
+bool exchange(const Endpoint& endpoint, std::string_view payload,
+              long long recv_timeout_ms, std::string& response,
+              std::string* error) {
+    Fd conn = connect_endpoint(endpoint, error);
+    if (!conn.valid()) return false;
+    set_recv_timeout(conn.get(), recv_timeout_ms);
+    if (!write_frame(conn.get(), payload)) {
+        if (error != nullptr) *error = errno_message("write");
+        return false;
+    }
+    const FrameStatus status = read_frame(conn.get(), response);
+    if (status == FrameStatus::Ok) return true;
+    if (error != nullptr) *error = std::string("read: ") + to_string(status);
+    return false;
 }
 
 std::uint16_t local_port(int fd) {
@@ -362,10 +372,6 @@ void set_recv_timeout(int fd, long long ms) {
         tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
     }
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-}
-
-int wait_readable(int fd_a, int fd_b, int timeout_ms) {
-    return wait_readable_any({fd_a, fd_b}, timeout_ms);
 }
 
 int wait_readable_any(const std::vector<int>& fds, int timeout_ms) {

@@ -49,12 +49,6 @@ public:
 
     [[nodiscard]] int get() const { return fd_; }
     [[nodiscard]] bool valid() const { return fd_ >= 0; }
-    /// Give up ownership without closing.
-    [[nodiscard]] int release() {
-        const int fd = fd_;
-        fd_ = -1;
-        return fd;
-    }
     void reset(int fd = -1);
 
 private:
@@ -143,10 +137,16 @@ struct Endpoint {
 [[nodiscard]] Fd connect_tcp(const std::string& host, std::uint16_t port,
                              std::string* error);
 
-/// listen/connect through a parsed Endpoint (dispatches on kind).
-[[nodiscard]] Fd listen_endpoint(const Endpoint& ep, int backlog,
-                                 std::string* error);
+/// connect through a parsed Endpoint (dispatches on kind).
 [[nodiscard]] Fd connect_endpoint(const Endpoint& ep, std::string* error);
+
+/// One request/response round trip on a fresh connection: connect to
+/// `endpoint`, send `payload` as one frame and read one response frame,
+/// with `recv_timeout_ms` capping a stalled peer. False on any transport
+/// failure; `*error` (optional) then says what failed.
+[[nodiscard]] bool exchange(const Endpoint& endpoint, std::string_view payload,
+                            long long recv_timeout_ms, std::string& response,
+                            std::string* error = nullptr);
 
 /// The locally bound TCP port of a listening socket (0 on error) — how a
 /// caller who asked for port 0 learns what the kernel picked.
@@ -161,13 +161,10 @@ struct Endpoint {
 /// SO_RCVTIMEO; `ms <= 0` clears the timeout.
 void set_recv_timeout(int fd, long long ms);
 
-/// Block until `fd_a` or `fd_b` (pass -1 to ignore one) is readable.
-/// Returns the readable fd, or -1 on timeout/error. `timeout_ms < 0`
-/// blocks indefinitely. EINTR retries.
-[[nodiscard]] int wait_readable(int fd_a, int fd_b, int timeout_ms);
-
-/// N-fd variant (the daemon polls {unix listener, tcp listener, self-pipe}).
-/// Entries < 0 are ignored. Same return convention as the 2-fd form.
+/// Block until one of `fds` (entries < 0 are ignored) is readable: the
+/// accept loop polls {unix listener, tcp listener, self-pipe}, a
+/// connection {connection, self-pipe}. Returns the readable fd, or -1 on
+/// timeout/error. `timeout_ms < 0` blocks indefinitely. EINTR retries.
 [[nodiscard]] int wait_readable_any(const std::vector<int>& fds,
                                     int timeout_ms);
 

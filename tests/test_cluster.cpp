@@ -20,6 +20,7 @@
 #include "cluster/remote_cas.hpp"
 #include "cluster/retry.hpp"
 #include "cluster/router.hpp"
+#include "footprint.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
@@ -446,12 +447,77 @@ TEST(Router, AnswersStatsAndMetricsItself) {
 
     const json::Value metrics =
         round_trip(fleet.router_socket, R"({"type":"metrics"})");
+    ASSERT_NE(metrics.find("content_type"), nullptr);
+    EXPECT_EQ(metrics.find("content_type")->string_or(""),
+              "text/plain; version=0.0.4");
     const json::Value* body = metrics.find("body");
     ASSERT_NE(body, nullptr);
     EXPECT_NE(body->string_value.find("psaflow_router_requests_total"),
               std::string::npos);
     EXPECT_NE(body->string_value.find("psaflow_router_shard_healthy"),
               std::string::npos);
+}
+
+TEST(Router, ValidatesInlineRequestsLikeAShard) {
+    ClusterFixture fleet("validate");
+    fleet.start();
+
+    // Requests the router answers itself are rejected exactly as a shard
+    // rejects them: same error kind, same message.
+    for (const char* request :
+         {R"({"schema_version":99,"type":"ping"})",
+          R"({"schema_version":99,"type":"stats"})",
+          R"({"type":"logs","max":-1})", R"({"type":"flight","max":-1})",
+          R"({"type":"nope"})"}) {
+        const json::Value routed = round_trip(fleet.router_socket, request);
+        const json::Value direct =
+            round_trip(fleet.shard_a->options().socket_path, request);
+        const auto view = serve::parse_response(routed);
+        ASSERT_TRUE(view.has_value()) << request;
+        EXPECT_EQ(view->error_kind, serve::ErrorKind::BadRequest) << request;
+        EXPECT_EQ(json::dump(routed), json::dump(direct)) << request;
+    }
+
+    // A malformed drain is a bad_request too, and changes nothing.
+    const json::Value drain = round_trip(
+        fleet.router_socket, R"({"type":"drain","shard":"a","draining":1})");
+    const auto drain_view = serve::parse_response(drain);
+    ASSERT_TRUE(drain_view.has_value());
+    EXPECT_EQ(drain_view->error_kind, serve::ErrorKind::BadRequest);
+    for (const cluster::ShardView& view : fleet.router->shard_views())
+        EXPECT_FALSE(view.draining) << view.name;
+
+    const json::Value stats =
+        round_trip(fleet.router_socket, R"({"type":"stats"})");
+    ASSERT_NE(stats.find("bad_requests"), nullptr);
+    EXPECT_EQ(stats.find("bad_requests")->number_or(0.0), 6.0);
+}
+
+TEST(Router, DeeplyNestedFrameGetsBadRequestAndTheRouterKeepsServing) {
+    ClusterFixture fleet("nested");
+    fleet.start();
+
+    const json::Value nested =
+        round_trip(fleet.router_socket, std::string(400 * 1024, '['));
+    const auto view = serve::parse_response(nested);
+    ASSERT_TRUE(view.has_value()) << json::dump(nested);
+    EXPECT_EQ(view->error_kind, serve::ErrorKind::BadRequest);
+    EXPECT_EQ(view->error, "invalid JSON: nesting deeper than 256 at byte 256");
+
+    const json::Value pong =
+        round_trip(fleet.router_socket, R"({"type":"ping"})");
+    ASSERT_NE(pong.find("type"), nullptr) << json::dump(pong);
+    EXPECT_EQ(pong.find("type")->string_or(""), "pong");
+}
+
+TEST(Router, SequentialConnectionsDoNotAccumulateThreadStacks) {
+    ClusterFixture fleet("reap");
+    fleet.start();
+
+    const auto growth = footprint::growth_over_pings(fleet.router_socket, 2000);
+    ASSERT_TRUE(growth.has_value());
+    EXPECT_LT(growth->vmsize_kb, 64 * 1024);
+    EXPECT_LT(growth->maps, 50);
 }
 
 // -------------------------------------------------------------- remote CAS ----

@@ -115,8 +115,9 @@ TEST(Fig5Shape, StratixBeatsArriaWhereSynthesizable) {
         const auto* s10 = all.find(TargetKind::CpuFpga, DeviceId::Stratix10);
         ASSERT_NE(a10, nullptr) << app->name;
         ASSERT_NE(s10, nullptr) << app->name;
-        if (a10->synthesizable && s10->synthesizable)
+        if (a10->synthesizable && s10->synthesizable) {
             EXPECT_GT(s10->speedup, a10->speedup) << app->name;
+        }
     }
 }
 

@@ -10,12 +10,15 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "flow/manifest.hpp"
 #include "flow/standard_flow.hpp"
+#include "footprint.hpp"
 #include "obs/flight.hpp"
+#include "serve/connection_core.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
@@ -761,6 +764,28 @@ TEST(Protocol, ParsesFlightAndClusterRequestTypes) {
     EXPECT_TRUE(serve::parse_wire_request(*bad, request).has_value());
 }
 
+TEST(Protocol, ParsesDrainRequests) {
+    serve::WireRequest request;
+    const auto drain =
+        json::parse(R"({"type":"drain","shard":"a","draining":true})");
+    ASSERT_TRUE(drain.has_value());
+    ASSERT_FALSE(serve::parse_wire_request(*drain, request).has_value());
+    EXPECT_EQ(request.type, serve::RequestType::Drain);
+    EXPECT_EQ(request.drain_shard, "a");
+    EXPECT_TRUE(request.draining);
+
+    for (const char* bad : {R"({"type":"drain","draining":true})",
+                            R"({"type":"drain","shard":"a"})",
+                            R"({"type":"drain","shard":1,"draining":false})",
+                            R"({"type":"drain","shard":"a","draining":0})"}) {
+        const auto doc = json::parse(bad);
+        ASSERT_TRUE(doc.has_value());
+        EXPECT_EQ(serve::parse_wire_request(*doc, request),
+                  "drain needs string \"shard\" and bool \"draining\"")
+            << bad;
+    }
+}
+
 TEST(Protocol, FlightResponseCarriesRecorderStateAndRecords) {
     obs::FlightRecorder recorder(4);
     obs::FlightRecord record;
@@ -1015,6 +1040,67 @@ TEST(ExecuteRequest, ExportedStandardFlowMatchesTheBuiltin) {
         sb << fb.rdbuf();
         EXPECT_EQ(sb.str(), sa.str()) << a.filename;
     }
+}
+
+// -------------------------------------------------------- connection core ----
+
+/// Send one frame on `conn` and read the reply frame back.
+std::string frame_round_trip(const net::Fd& conn, const std::string& request) {
+    EXPECT_TRUE(net::write_frame(conn.get(), request));
+    std::string reply;
+    EXPECT_EQ(net::read_frame(conn.get(), reply), net::FrameStatus::Ok);
+    return reply;
+}
+
+TEST(ConnectionCore, HandlersArePerConnectionAndAFailureCostsOneRequest) {
+    ScratchDir dir("core");
+    const std::string socket = (dir.path / "core.sock").string();
+    // Each connection's handler counts its own requests, so per-connection
+    // state and the connection's sequence number both show in the reply.
+    serve::ConnectionCore core("test", 5000, [](std::uint64_t seq) {
+        return [seq, served = 0](const json::Value& doc,
+                                 const std::string&) mutable -> std::string {
+            if (doc.find("boom") != nullptr)
+                throw std::runtime_error("handler blew up");
+            return std::to_string(seq) + ":" + std::to_string(served++);
+        };
+    });
+    ASSERT_FALSE(core.start(socket, "").has_value());
+    std::thread acceptor([&] { core.accept_until_shutdown(); });
+
+    std::string error;
+    net::Fd first = net::connect_unix(socket, &error);
+    ASSERT_TRUE(first.valid()) << error;
+    EXPECT_EQ(frame_round_trip(first, "{}"), "0:0");
+    EXPECT_EQ(frame_round_trip(first, "{}"), "0:1");
+
+    // A throwing handler answers `internal` and the connection lives on;
+    // so does one that sent a frame that is not JSON.
+    auto failed = json::parse(frame_round_trip(first, R"({"boom":1})"));
+    ASSERT_TRUE(failed.has_value());
+    const auto view = serve::parse_response(*failed);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_EQ(view->error_kind, serve::ErrorKind::Internal);
+    EXPECT_EQ(view->error, "request failed: handler blew up");
+    EXPECT_NE(frame_round_trip(first, "{nope").find("invalid JSON"),
+              std::string::npos);
+    EXPECT_EQ(frame_round_trip(first, "{}"), "0:2");
+
+    net::Fd second = net::connect_unix(socket, &error);
+    ASSERT_TRUE(second.valid()) << error;
+    EXPECT_EQ(frame_round_trip(second, "{}"), "1:0");
+    EXPECT_EQ(core.connections(), 2u);
+    EXPECT_EQ(core.frames(), 6u);
+    EXPECT_EQ(core.invalid_json(), 1u);
+
+    // Drain with both connections open and idle: the shutdown wake ends
+    // their threads, and the socket file goes away.
+    core.notify_shutdown();
+    acceptor.join();
+    core.join_connections();
+    EXPECT_FALSE(fs::exists(socket));
+    std::string payload;
+    EXPECT_EQ(net::read_frame(first.get(), payload), net::FrameStatus::Eof);
 }
 
 // ------------------------------------------------------------- daemon e2e ----
@@ -1343,6 +1429,40 @@ TEST(Daemon, ServesPrometheusMetricsAndRecentLogsOverTheSocket) {
     ASSERT_TRUE(bad_view.has_value());
     EXPECT_FALSE(bad_view->ok);
     EXPECT_EQ(bad_view->error_kind, serve::ErrorKind::BadRequest);
+}
+
+TEST(Daemon, DeeplyNestedFrameGetsBadRequestAndTheDaemonKeepsServing) {
+    DaemonFixture fixture("nested");
+    fixture.start();
+
+    // 400 KB of '[' once overflowed the parser's stack and killed the
+    // daemon; now it is a located parse error on a connection that stays
+    // usable.
+    const json::Value nested = client_round_trip(
+        fixture.socket(), std::string(400 * 1024, '['));
+    const auto view = serve::parse_response(nested);
+    ASSERT_TRUE(view.has_value()) << json::dump(nested);
+    EXPECT_EQ(view->error_kind, serve::ErrorKind::BadRequest);
+    EXPECT_EQ(view->error, "invalid JSON: nesting deeper than 256 at byte 256");
+
+    const json::Value pong =
+        client_round_trip(fixture.socket(), R"({"type":"ping"})");
+    ASSERT_NE(pong.find("type"), nullptr) << json::dump(pong);
+    EXPECT_EQ(pong.find("type")->string_or(""), "pong");
+    EXPECT_EQ(fixture.daemon.counters().bad_requests, 1u);
+}
+
+TEST(Daemon, SequentialConnectionsDoNotAccumulateThreadStacks) {
+    DaemonFixture fixture("reap");
+    fixture.start();
+
+    // Each connection runs on its own thread with an 8 MB stack; a server
+    // that joined them only at drain grew by that much per connection.
+    const auto growth = footprint::growth_over_pings(fixture.socket(), 2000);
+    ASSERT_TRUE(growth.has_value());
+    EXPECT_LT(growth->vmsize_kb, 64 * 1024);
+    EXPECT_LT(growth->maps, 50);
+    EXPECT_EQ(fixture.daemon.counters().connections, 2050u);
 }
 
 } // namespace

@@ -476,6 +476,43 @@ TEST(Json, RejectsMalformedInputWithOffset) {
     EXPECT_FALSE(json::parse("[1] trailing").has_value()); // no garbage
 }
 
+TEST(Json, NestingDepthIsBoundedWithALocatedError) {
+    const int max = json::kMaxNestingDepth;
+    ASSERT_EQ(max, 256);
+    const auto nest = [](int depth, const std::string& open,
+                         const std::string& close) {
+        std::string text;
+        for (int i = 0; i < depth; ++i) text += open;
+        text += "1";
+        for (int i = 0; i < depth; ++i) text += close;
+        return text;
+    };
+
+    // Exactly the limit parses, arrays and objects alike.
+    EXPECT_TRUE(json::parse(nest(max, "[", "]")).has_value());
+    EXPECT_TRUE(json::parse(nest(max, R"({"k":)", "}")).has_value());
+
+    // One level more fails at the opening bracket that is one too deep.
+    std::string error;
+    EXPECT_FALSE(json::parse(nest(max + 1, "[", "]"), &error).has_value());
+    EXPECT_EQ(error, "nesting deeper than 256 at byte 256");
+    EXPECT_FALSE(
+        json::parse(nest(max + 1, R"({"k":)", "}"), &error).has_value());
+    EXPECT_EQ(error, "nesting deeper than 256 at byte " +
+                         std::to_string(256 * 5));
+    // Mixed nesting counts every level.
+    EXPECT_FALSE(
+        json::parse(nest((max + 2) / 2, R"([{"k":)", "}]"), &error)
+            .has_value());
+    EXPECT_NE(error.find("nesting deeper than 256"), std::string::npos);
+
+    // A hostile 400 KB frame of '[' fails fast instead of overflowing the
+    // stack; unbalanced input past the limit never gets parsed further.
+    EXPECT_FALSE(
+        json::parse(std::string(400 * 1024, '['), &error).has_value());
+    EXPECT_EQ(error, "nesting deeper than 256 at byte 256");
+}
+
 TEST(Json, TypedGettersDefaultOnWrongKind) {
     const auto doc = json::parse(R"({"n": "not-a-number"})");
     ASSERT_TRUE(doc.has_value());

@@ -22,7 +22,7 @@
 // span), and writes the assembled cross-process span tree — client root,
 // router relay, shard queue/execute, remote-CAS hops — to a file:
 //
-//   psaflow-client --socket 127.0.0.1:7400 --app nbody \
+//   psaflow-client --socket 127.0.0.1:7400 --app nbody
 //       --trace-out flame.json --trace-format chrome
 //
 // Exit codes mirror the wire error taxonomy so shell harnesses can branch

@@ -4,9 +4,9 @@
 // reports client-observed throughput and latency plus server-side queue
 // waits, as one JSON document (the raw material for BENCH_9.json):
 //
-//   psaflow-loadgen --connect 127.0.0.1:7400 --requests 10000 \
-//       --concurrency 16 --warm-fraction 0.9 --seed 42 --label router4 \
-//       --shard-stats 127.0.0.1:7401 --shard-stats 127.0.0.1:7402 \
+//   psaflow-loadgen --connect 127.0.0.1:7400 --requests 10000
+//       --concurrency 16 --warm-fraction 0.9 --seed 42 --label router4
+//       --shard-stats 127.0.0.1:7401 --shard-stats 127.0.0.1:7402
 //       --out run.json
 //
 // Workload model: a "warm" request repeats one of `--warm-pool` fixed
@@ -47,6 +47,9 @@ using namespace psaflow;
 
 namespace {
 
+/// Stall cap on every response frame.
+constexpr long long kRecvTimeoutMs = 60000;
+
 struct RunConfig {
     net::Endpoint target;
     std::vector<std::string> apps;
@@ -68,18 +71,6 @@ struct WorkerTally {
     std::uint64_t warm = 0;
     std::uint64_t cold = 0;
 };
-
-/// One request/response exchange on a fresh connection; false on any
-/// transport failure.
-bool exchange(const net::Endpoint& target, const std::string& payload,
-              std::string& response) {
-    std::string error;
-    net::Fd conn = net::connect_endpoint(target, &error);
-    if (!conn.valid()) return false;
-    net::set_recv_timeout(conn.get(), 60000);
-    if (!net::write_frame(conn.get(), payload)) return false;
-    return net::read_frame(conn.get(), response) == net::FrameStatus::Ok;
-}
 
 std::string compile_payload(const std::string& app, double threshold_x,
                             long long deadline_ms) {
@@ -137,7 +128,9 @@ void worker(const RunConfig& config, std::size_t index,
         for (int attempt = 0; attempt < config.retry.max_attempts;
              ++attempt) {
             std::string response_text;
-            if (!exchange(config.target, payload, response_text)) break;
+            if (!net::exchange(config.target, payload, kRecvTimeoutMs,
+                               response_text))
+                break;
             const auto doc = json::parse(response_text, nullptr);
             if (!doc.has_value()) break;
             const auto view = serve::parse_response(*doc);
@@ -193,7 +186,8 @@ std::optional<json::Value> shard_stats(const net::Endpoint& endpoint) {
                 json::Value::number(double(serve::kSchemaVersion)));
     request.set("type", json::Value::string("stats"));
     std::string response_text;
-    if (!exchange(endpoint, json::dump(request), response_text))
+    if (!net::exchange(endpoint, json::dump(request), kRecvTimeoutMs,
+                       response_text))
         return std::nullopt;
     return json::parse(response_text, nullptr);
 }

@@ -8,7 +8,7 @@
 // --cas-upstream to the router), health-checks every shard, fails over
 // with jittered backoff, and supports graceful drain/rejoin:
 //
-//   psaflow-router --socket /tmp/psaflow.sock \
+//   psaflow-router --socket /tmp/psaflow.sock
 //       --shard a=127.0.0.1:7401 --shard b=127.0.0.1:7402
 //
 //   psaflow-client --socket /tmp/psaflow.sock --app nbody   # unchanged
@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
                    "failover backoff window cap (default 2000)",
                    &backoff_max_ms, /*min=*/1);
     parser.integer("--recv-timeout-ms", "<n>",
-                   "shard response stall cap (default 30000)",
+                   "stall cap on shard responses and client frames "
+                   "(default 30000)",
                    &recv_timeout_ms, /*min=*/0);
     parser.integer("--seed", "<n>",
                    "backoff jitter seed (0 = built-in default)", &seed,

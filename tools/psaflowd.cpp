@@ -8,12 +8,12 @@
 // request schema is exactly a `psaflowc --batch` manifest entry (see
 // serve/protocol.hpp and README "Serving").
 //
-//   psaflowd --socket /tmp/psaflow.sock --workers 4 \
+//   psaflowd --socket /tmp/psaflow.sock --workers 4
 //            --cache-dir .psaflow-cache --out designs/
 //
 // As a cluster shard behind psaflow-router (README "Scale-out serving"):
 //
-//   psaflowd --listen 127.0.0.1:7401 --shard-name a \
+//   psaflowd --listen 127.0.0.1:7401 --shard-name a
 //            --cas-upstream 127.0.0.1:7400 --cache-dir shard-a-cache
 //
 // SIGTERM/SIGINT drain gracefully: stop accepting, answer everything
