@@ -9,14 +9,7 @@
 # daemon: request count, latency/queue-wait p50/p99 from the histograms,
 # and the cache hit rates of the serving run.
 #
-# A second report, BENCH_7.json, compares the two profiling-interpreter
-# engines (tree walker vs bytecode VM): each app is compiled cold (no disk
-# cache) once per engine, and the trace export attributes the interpreter
-# time via the engine-tagged spans ("interp:tree" / "interp:vm"), so the
-# report separates end-to-end wall time from pure interpretation time.
-#
-# usage: scripts/bench_report.sh [psaflowc] [psaflowd] [psaflow-client] \
-#            [out] [vm-out]
+# usage: scripts/bench_report.sh [psaflowc] [psaflowd] [psaflow-client] [out]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,7 +17,6 @@ PSAFLOWC=${1:-build/tools/psaflowc}
 PSAFLOWD=${2:-build/tools/psaflowd}
 CLIENT=${3:-build/tools/psaflow-client}
 OUT=${4:-BENCH_5.json}
-OUT_VM=${5:-BENCH_7.json}
 
 for bin in "$PSAFLOWC" "$PSAFLOWD" "$CLIENT"; do
     if [ ! -x "$bin" ]; then
@@ -152,89 +144,3 @@ EOF
 
 echo "bench report written to $OUT"
 
-# ---- interpreter engine comparison (BENCH_7) -------------------------------
-echo "== interpreter bench (tree vs vm) via $PSAFLOWC =="
-VM_ROWS="$WORK/vm-rows.tsv"
-: > "$VM_ROWS"
-for app in "${APPS[@]}"; do
-    for engine in tree vm; do
-        trace="$WORK/interp-$app-$engine.trace.json"
-        t0=$(now_ns)
-        "$PSAFLOWC" --app "$app" --interp "$engine" \
-            --out "$WORK/interp-$app-$engine" \
-            --trace-out "$trace" > /dev/null
-        t1=$(now_ns)
-        wall_s=$(awk -v a="$t0" -v b="$t1" \
-            'BEGIN { printf "%.4f", (b-a)/1e9 }')
-        printf '%s\t%s\t%s\t%s\n' \
-            "$app" "$engine" "$wall_s" "$trace" >> "$VM_ROWS"
-        echo "  $app/$engine: cold ${wall_s}s"
-    done
-done
-
-python3 - "$VM_ROWS" "$OUT_VM" << 'EOF'
-import json, sys
-
-rows, out = sys.argv[1], sys.argv[2]
-
-# runs[app][engine] = {"wall_s": ..., "interp_s": ..., "interp_steps": ...}
-runs = {}
-with open(rows) as fh:
-    for line in fh:
-        app, engine, wall, trace_path = line.rstrip("\n").split("\t")
-        with open(trace_path) as tf:
-            trace = json.load(tf)
-        tag = f"interp:{engine}"
-        interp_us = sum(s["duration_us"] for s in trace["spans"]
-                        if s.get("category") == tag)
-        # Spans of the *other* engine would mean the flag did not take.
-        stray = sum(1 for s in trace["spans"]
-                    if s.get("category", "").startswith("interp:")
-                    and s["category"] != tag)
-        if stray:
-            raise SystemExit(f"{app}/{engine}: {stray} span(s) ran on "
-                             "the wrong engine")
-        runs.setdefault(app, {})[engine] = {
-            "wall_s": float(wall),
-            "interp_s": interp_us / 1e6,
-            "interp_steps": trace.get("counters", {}).get("interp.steps", 0),
-        }
-
-benchmarks = []
-for app, by_engine in runs.items():
-    tree, vm = by_engine["tree"], by_engine["vm"]
-    benchmarks.append({
-        "app": app,
-        "cold_wall_tree_s": tree["wall_s"],
-        "cold_wall_vm_s": vm["wall_s"],
-        "interp_tree_s": round(tree["interp_s"], 6),
-        "interp_vm_s": round(vm["interp_s"], 6),
-        # Both engines charge the same step count on the same program; a
-        # mismatch here means they diverged and the timing is meaningless.
-        "interp_steps_equal": tree["interp_steps"] == vm["interp_steps"],
-        "wall_speedup_x": round(tree["wall_s"] / vm["wall_s"], 2)
-            if vm["wall_s"] > 0 else 0.0,
-        "interp_speedup_x": round(tree["interp_s"] / vm["interp_s"], 2)
-            if vm["interp_s"] > 0 else 0.0,
-    })
-
-report = {
-    "schema_version": 1,
-    "pr": 7,
-    "generated_by": "scripts/bench_report.sh",
-    "description": "cold tree-walker vs bytecode-VM interpreter times per "
-                   "app; interp_*_s sums the engine-tagged trace spans",
-    "benchmarks": benchmarks,
-}
-with open(out, "w") as fh:
-    json.dump(report, fh, indent=2)
-    fh.write("\n")
-
-for b in benchmarks:
-    print(f"  {b['app']}: interp {b['interp_tree_s']:.3f}s -> "
-          f"{b['interp_vm_s']:.3f}s ({b['interp_speedup_x']}x), "
-          f"wall {b['cold_wall_tree_s']:.3f}s -> "
-          f"{b['cold_wall_vm_s']:.3f}s ({b['wall_speedup_x']}x)")
-EOF
-
-echo "interpreter bench written to $OUT_VM"

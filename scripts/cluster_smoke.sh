@@ -176,8 +176,15 @@ for i in 0 1 2 3; do
 done
 echo "routed designs byte-identical to single-shot psaflowc"
 
-# The router must have ejected shard b from the ring...
-"$CLIENT" --socket "$ROUTER_SOCK" --metrics > "$WORK/router.metrics"
+# The router must have ejected shard b from the ring (when no relay hit
+# the dead shard, that takes 2 failed health pings, >= 200 ms after the
+# kill, which the steps above may outrun, so allow it 2 s)...
+for _ in $(seq 1 20); do
+    "$CLIENT" --socket "$ROUTER_SOCK" --metrics > "$WORK/router.metrics"
+    grep -q 'psaflow_router_shard_healthy{shard="b"} 0' \
+        "$WORK/router.metrics" && break
+    sleep 0.1
+done
 grep -q 'psaflow_router_shard_healthy{shard="b"} 0' "$WORK/router.metrics" || {
     echo "FAIL: router still reports shard b healthy" >&2
     grep psaflow_router_shard "$WORK/router.metrics" >&2 || true

@@ -12,9 +12,10 @@
 #       --check-vm --shrink
 #
 # Part 2: runs the bytecode-VM suite (test_vm: lowering snapshots, dispatch
-# edge cases, cancellation, app/flow byte-identity) under both the asan and
-# tsan presets; the flow-level tests drive jobs=3, so data races between
-# the VM and the branch-path pool are tsan-visible.
+# edge cases, cancellation, tree-vs-VM app profile identity, flow
+# byte-identity at jobs=1 vs jobs=3) under both the asan and tsan presets;
+# the flow-level tests drive jobs=3, so data races between the VM and the
+# branch-path pool are tsan-visible.
 #
 # usage: scripts/fuzz_smoke.sh [seconds] [jobs]
 set -euo pipefail

@@ -1,12 +1,13 @@
 // Memoization of profiling interpreter runs.
 //
 // Every dynamic design-flow task executes the application under the
-// tree-walking interpreter, which pays a ~100x constant factor versus
-// native execution. Branched PSA-flows fork the FlowContext per path, and
-// each fork lazily recomputes its kernel characterisation — re-running the
-// *same* program on the *same* inputs whenever no transform has touched the
-// module yet. DSE loops and the fig5/fig6 harnesses (which compile each app
-// in both PSA modes) repeat the identical runs again.
+// profiling interpreter (the bytecode VM), which still pays a large
+// constant factor versus native execution. Branched PSA-flows fork the
+// FlowContext per path, and each fork lazily recomputes its kernel
+// characterisation — re-running the *same* program on the *same* inputs
+// whenever no transform has touched the module yet. DSE loops and the
+// fig5/fig6 harnesses (which compile each app in both PSA modes) repeat
+// the identical runs again.
 //
 // The cache keys a profiled run by
 //   (module content hash, entry/focus function, argument digest, step limit)

@@ -152,7 +152,6 @@ std::string Daemon::handle_request(const json::Value& doc) {
 void Daemon::worker_loop(std::size_t worker_index) {
     flow::SessionOptions session_options;
     session_options.jobs = options_.session_jobs;
-    session_options.interp = options_.interp;
     flow::FlowSession session(session_options);
     while (true) {
         auto popped = queue_.pop(worker_index);

@@ -190,10 +190,6 @@ void add_flow_flags(OptionParser& parser, FlowFlags& flags) {
                    "disk cache size cap in MiB (0 = PSAFLOW_CACHE_MAX_MB / "
                    "256)",
                    &flags.cache_max_mb, /*min=*/0);
-    parser.choice("--interp", "<engine>",
-                  "interpreter engine: tree|vm (default: PSAFLOW_INTERP, "
-                  "else vm)",
-                  &flags.interp, {"tree", "vm"});
 }
 
 } // namespace psaflow::cli

@@ -85,14 +85,13 @@ private:
 
 /// The flow-running flags every driver shares. `add_flow_flags` registers
 /// them with identical names, validation and help text in each tool, so
-/// `--jobs/--trace-out/--cache-dir/--cache-max-mb/--interp` mean the same
-/// thing everywhere.
+/// `--jobs/--trace-out/--cache-dir/--cache-max-mb` mean the same thing
+/// everywhere.
 struct FlowFlags {
     long long jobs = 0;        ///< 0 = PSAFLOW_JOBS / hardware concurrency
     std::string trace_out;     ///< trace registry JSON dump path
     std::string cache_dir;     ///< disk cache root ("" = PSAFLOW_CACHE_DIR)
     long long cache_max_mb = 0; ///< disk cache size cap (0 = env / default)
-    std::string interp;        ///< "tree"|"vm" ("" = PSAFLOW_INTERP / vm)
 };
 
 void add_flow_flags(OptionParser& parser, FlowFlags& flags);

@@ -1,8 +1,8 @@
-// End-to-end error-path tests for the psaflowc driver: every malformed
-// invocation must exit with status 2 and print the usage banner, never
-// crash or silently proceed. The binary path comes from CMake
-// ($<TARGET_FILE:psaflowc>), so the test always runs the freshly built
-// driver.
+// End-to-end error-path tests for the psaflowc driver (and the flag
+// parsing psaflow-client shares with it): every malformed invocation must
+// exit with status 2 and print the usage banner, never crash or silently
+// proceed. The binary paths come from CMake ($<TARGET_FILE:...>), so the
+// test always runs the freshly built tools.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,14 +16,24 @@
 
 namespace {
 
+namespace fs = std::filesystem;
+
+std::string slurp(const fs::path& p) {
+    std::ifstream in(p);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
 struct CliResult {
     int exit_code = -1;
     std::string output; ///< stdout and stderr, interleaved
 };
 
-CliResult run_cli(const std::string& flags) {
-    const std::string cmd =
-        std::string(PSAFLOW_PSAFLOWC_PATH) + " " + flags + " 2>&1";
+/// Run `binary` with `flags`; `env` ("NAME=value ...") prefixes the
+/// command line.
+CliResult run_tool(const std::string& binary, const std::string& flags,
+                   const std::string& env = "") {
+    const std::string cmd = env + " " + binary + " " + flags + " 2>&1";
     CliResult result;
     FILE* pipe = popen(cmd.c_str(), "r");
     if (pipe == nullptr) return result;
@@ -34,6 +44,10 @@ CliResult run_cli(const std::string& flags) {
     const int status = pclose(pipe);
     if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
     return result;
+}
+
+CliResult run_cli(const std::string& flags, const std::string& env = "") {
+    return run_tool(PSAFLOW_PSAFLOWC_PATH, flags, env);
 }
 
 void expect_usage_error(const std::string& flags) {
@@ -67,6 +81,22 @@ TEST(Cli, TraceOutMissingValue) {
     expect_usage_error("--app nbody --trace-out");
 }
 
+TEST(Cli, TraceFormatIsValidatedByTheParser) {
+    for (const std::string binary :
+         {PSAFLOW_PSAFLOWC_PATH, PSAFLOW_CLIENT_PATH}) {
+        const CliResult r = run_tool(binary, "--trace-format xml");
+        EXPECT_EQ(r.exit_code, 2) << binary << "\n" << r.output;
+        EXPECT_NE(r.output.find("--trace-format must be one of: json|chrome"),
+                  std::string::npos)
+            << binary << "\n" << r.output;
+        EXPECT_NE(r.output.find("usage:"), std::string::npos)
+            << binary << "\n" << r.output;
+    }
+}
+
+// The interpreter engine is not selectable: the VM runs every flow.
+TEST(Cli, InterpFlagIsGone) { expect_usage_error("--app kmeans --interp vm"); }
+
 TEST(Cli, UnknownAppFails) {
     const CliResult r = run_cli("--app no_such_app");
     EXPECT_EQ(r.exit_code, 2) << r.output;
@@ -79,8 +109,6 @@ TEST(Cli, ListSucceeds) {
 }
 
 // ------------------------------------------------------------- batch mode ----
-
-namespace fs = std::filesystem;
 
 /// Scratch directory for one batch test, removed on destruction.
 struct BatchDir {
@@ -105,10 +133,22 @@ struct BatchDir {
     }
 };
 
-std::string slurp(const fs::path& p) {
-    std::ifstream in(p);
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
+TEST(Cli, InterpEnvironmentVariableIsIgnored) {
+    BatchDir dir("interp-env");
+    const fs::path trace = dir.path / "t.json";
+    const std::string flags = "--app kmeans --out " +
+                              (dir.path / "out").string() + " --trace-out " +
+                              trace.string();
+
+    const CliResult plain = run_cli(flags);
+    ASSERT_EQ(plain.exit_code, 0) << plain.output;
+    const CliResult with_env = run_cli(flags, "PSAFLOW_INTERP=tree");
+    ASSERT_EQ(with_env.exit_code, 0) << with_env.output;
+    EXPECT_EQ(plain.output, with_env.output);
+
+    const std::string spans = slurp(trace);
+    EXPECT_NE(spans.find("\"interp:vm\""), std::string::npos) << spans;
+    EXPECT_EQ(spans.find("\"interp:tree\""), std::string::npos);
 }
 
 TEST(CliBatch, MissingManifestFileFails) {

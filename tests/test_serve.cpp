@@ -322,45 +322,6 @@ TEST(Histogram, FromPartsOfNothingIsEmpty) {
     EXPECT_EQ(rebuilt.percentile(50), 0u);
 }
 
-// ------------------------------------------------------------------ queue ----
-
-TEST(BoundedQueue, RejectsWhenFullAndRecoversAfterPop) {
-    serve::BoundedQueue<int> queue(2);
-    EXPECT_TRUE(queue.try_push(1));
-    EXPECT_TRUE(queue.try_push(2));
-    EXPECT_FALSE(queue.try_push(3)); // full: the backpressure signal
-    EXPECT_EQ(queue.depth(), 2u);
-    EXPECT_EQ(queue.pop().value(), 1);
-    EXPECT_TRUE(queue.try_push(3));
-}
-
-TEST(BoundedQueue, CloseDrainsAdmittedItemsThenSignalsExit) {
-    serve::BoundedQueue<int> queue(4);
-    EXPECT_TRUE(queue.try_push(1));
-    EXPECT_TRUE(queue.try_push(2));
-    queue.close();
-    EXPECT_FALSE(queue.try_push(3)); // no admissions after close
-    EXPECT_EQ(queue.pop().value(), 1);
-    EXPECT_EQ(queue.pop().value(), 2);
-    EXPECT_FALSE(queue.pop().has_value()); // closed and drained
-}
-
-TEST(BoundedQueue, CloseWakesBlockedPoppers) {
-    serve::BoundedQueue<int> queue(1);
-    std::atomic<int> woke{0};
-    std::vector<std::thread> poppers;
-    for (int i = 0; i < 4; ++i)
-        poppers.emplace_back([&] {
-            while (queue.pop().has_value()) {
-            }
-            woke.fetch_add(1);
-        });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    queue.close();
-    for (std::thread& t : poppers) t.join();
-    EXPECT_EQ(woke.load(), 4);
-}
-
 // -------------------------------------------------------------- lane queue ----
 
 TEST(LaneQueue, InteractiveLaneDrainsBeforeBatch) {
@@ -409,6 +370,31 @@ TEST(LaneQueue, IdleWorkerStealsFromLongestSibling) {
     EXPECT_FALSE(own->stolen);
 }
 
+TEST(LaneQueue, AdmissionRecoversAfterPopFreesRoom) {
+    serve::LaneQueue<int> queue(/*capacity=*/2, 1, 1);
+    ASSERT_TRUE(queue.try_push(1, 0, 0));
+    ASSERT_TRUE(queue.try_push(2, 0, 0));
+    EXPECT_FALSE(queue.try_push(3, 0, 0)); // full: the backpressure signal
+    EXPECT_EQ(queue.pop(0).value().item, 1);
+    EXPECT_TRUE(queue.try_push(3, 0, 0));
+    EXPECT_EQ(queue.depth(), 2u);
+}
+
+TEST(LaneQueue, CloseWakesBlockedPoppersWithNullopt) {
+    serve::LaneQueue<int> queue(1, 1, /*workers=*/4);
+    std::atomic<int> woke{0};
+    std::vector<std::thread> poppers;
+    for (std::size_t w = 0; w < 4; ++w)
+        poppers.emplace_back([&, w] {
+            EXPECT_FALSE(queue.pop(w).has_value());
+            woke.fetch_add(1);
+        });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    queue.close();
+    for (std::thread& t : poppers) t.join();
+    EXPECT_EQ(woke.load(), 4);
+}
+
 TEST(LaneQueue, CapacityIsSharedAcrossLanesAndCloseDrains) {
     serve::LaneQueue<int> queue(/*capacity=*/2, 2, 2);
     ASSERT_TRUE(queue.try_push(1, 0, 0));
@@ -419,6 +405,20 @@ TEST(LaneQueue, CapacityIsSharedAcrossLanesAndCloseDrains) {
     EXPECT_TRUE(queue.pop(0).has_value());
     EXPECT_TRUE(queue.pop(0).has_value()); // steals across lanes on drain
     EXPECT_FALSE(queue.pop(0).has_value()); // closed + drained → exit signal
+}
+
+// The plain bounded-FIFO contract, now held by a one-lane, one-worker
+// LaneQueue: close() stops admission, admitted items drain in push order,
+// then pop() signals exit with nullopt.
+TEST(BoundedQueue, CloseDrainsAdmittedItemsThenSignalsExit) {
+    serve::LaneQueue<int> queue(/*capacity=*/4, 1, 1);
+    EXPECT_TRUE(queue.try_push(1, 0, 0));
+    EXPECT_TRUE(queue.try_push(2, 0, 0));
+    queue.close();
+    EXPECT_FALSE(queue.try_push(3, 0, 0)); // no admissions after close
+    EXPECT_EQ(queue.pop(0).value().item, 1);
+    EXPECT_EQ(queue.pop(0).value().item, 2);
+    EXPECT_FALSE(queue.pop(0).has_value()); // closed and drained
 }
 
 // ----------------------------------------------------------- cancellation ----

@@ -2,10 +2,13 @@
 // contract: the lowering is stable (snapshot tests per opcode class) and
 // execution is observationally identical to the tree-walking reference —
 // bit-equal results, buffer contents, error strings, serialized execution
-// profiles and cancellation behaviour. The five paper applications and the
-// full flow engine are covered end-to-end; the `interp:vm` fuzz oracle
+// profiles and cancellation behaviour. The five paper applications are
+// compared on every profiled run a flow makes, the full flow engine is
+// checked at jobs=1 vs jobs=3, and the bezier flow is run once more on
+// profiles the tree walker seeded into its cache; the `interp:vm` fuzz oracle
 // (test_fuzz_regression) extends the same check to generated programs.
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -15,14 +18,19 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.hpp"
+#include "analysis/hotspot.hpp"
 #include "analysis/profile_cache.hpp"
 #include "ast/walk.hpp"
 #include "core/psaflow.hpp"
+#include "flow/context.hpp"
+#include "flow/standard_flow.hpp"
+#include "frontend/parser.hpp"
 #include "interp/bytecode.hpp"
 #include "interp/interpreter.hpp"
 #include "interp/vm.hpp"
 #include "meta/query.hpp"
 #include "support/cancel.hpp"
+#include "transform/extract.hpp"
 #include "test_util.hpp"
 
 namespace psaflow {
@@ -798,20 +806,23 @@ struct AppCapture {
     bool has_result = false;
 };
 
-AppCapture run_app(const apps::Application& app, Engine engine) {
-    auto [mod, types] = parse_and_check(app.source, app.name);
-    const auto loops = meta::for_loops(*mod);
+/// One profiled run of the app's workload at `scale` with `focus` as the
+/// summarised function, as the flow's ProfileCache::run would make it.
+AppCapture run_app(ast::Module& mod, const sema::TypeInfo& types,
+                   const apps::Application& app, const std::string& focus,
+                   double scale, Engine engine) {
     std::vector<ast::Node::Id> loop_order;
-    for (const auto* loop : loops) loop_order.push_back(loop->id);
+    for (const auto* loop : meta::for_loops(mod))
+        loop_order.push_back(loop->id);
 
     InterpOptions options;
     options.engine = engine;
     options.profile = true;
-    options.focus_function = first_loop_function(*mod);
+    options.focus_function = focus;
 
-    const auto args = app.workload.make_args(app.workload.profile_scale);
-    const auto run =
-        run_function(*mod, types, app.workload.entry, args, options);
+    const auto args = app.workload.make_args(scale);
+    const auto run = run_function(mod, types, app.workload.entry, args,
+                                  options);
 
     AppCapture cap;
     cap.profile_payload =
@@ -831,31 +842,54 @@ AppCapture run_app(const apps::Application& app, Engine engine) {
     return cap;
 }
 
+void expect_engines_agree(ast::Module& mod, const sema::TypeInfo& types,
+                          const apps::Application& app,
+                          const std::string& focus, double scale) {
+    SCOPED_TRACE("focus " + focus + ", scale " + std::to_string(scale));
+    const auto tree = run_app(mod, types, app, focus, scale, Engine::Tree);
+    const auto vm = run_app(mod, types, app, focus, scale, Engine::Vm);
+    EXPECT_EQ(tree.profile_payload, vm.profile_payload);
+    EXPECT_EQ(tree.has_result, vm.has_result);
+    EXPECT_EQ(tree.result_bits, vm.result_bits);
+    ASSERT_EQ(tree.buffers.size(), vm.buffers.size());
+    for (std::size_t i = 0; i < tree.buffers.size(); ++i) {
+        ASSERT_EQ(tree.buffers[i].size(), vm.buffers[i].size());
+        EXPECT_EQ(std::memcmp(tree.buffers[i].data(), vm.buffers[i].data(),
+                              tree.buffers[i].size() * sizeof(double)),
+                  0)
+            << app.name << " buffer " << i << " differs";
+    }
+}
+
+// A flow sees the interpreter only through ProfileCache::run, so these are
+// the runs every product path makes: the hotspot profile, then
+// characterize_kernel's two runs of the extracted top hotspot at the
+// profiling scale and twice it.
 TEST(VmApps, ProfilesMatchTreeWalkerOnAllFiveApps) {
     for (const auto* app : apps::all_applications()) {
         SCOPED_TRACE(app->name);
-        const auto tree = run_app(*app, Engine::Tree);
-        const auto vm = run_app(*app, Engine::Vm);
-        EXPECT_EQ(tree.profile_payload, vm.profile_payload);
-        EXPECT_EQ(tree.has_result, vm.has_result);
-        EXPECT_EQ(tree.result_bits, vm.result_bits);
-        ASSERT_EQ(tree.buffers.size(), vm.buffers.size());
-        for (std::size_t i = 0; i < tree.buffers.size(); ++i) {
-            ASSERT_EQ(tree.buffers[i].size(), vm.buffers[i].size());
-            EXPECT_EQ(std::memcmp(tree.buffers[i].data(),
-                                  vm.buffers[i].data(),
-                                  tree.buffers[i].size() * sizeof(double)),
-                      0)
-                << app->name << " buffer " << i << " differs";
-        }
+        auto checked = parse_and_check(app->source, app->name);
+        ast::Module& mod = *checked.module;
+        const double scale = app->workload.profile_scale;
+        expect_engines_agree(mod, checked.types, *app,
+                             first_loop_function(mod), scale);
+
+        const auto report =
+            analysis::detect_hotspots(mod, checked.types, app->workload);
+        ASSERT_NE(report.top(), nullptr);
+        const std::string kernel = app->name + "_kernel";
+        (void)transform::extract_hotspot(mod, checked.types,
+                                         *report.top()->loop, kernel);
+        const sema::TypeInfo types = sema::check(mod);
+        expect_engines_agree(mod, types, *app, kernel, scale);
+        expect_engines_agree(mod, types, *app, kernel, 2.0 * scale);
     }
 }
 
 // ----------------------------------------------------------------------
-// Flow-level byte-identity: the full design flow run under each engine
-// (and at jobs=1 vs jobs=3) produces identical designs, logs and
-// predictions. This is the end-to-end form of the acceptance criterion;
-// the per-interpreter checks above localise any failure.
+// Flow-level byte-identity: the full design flow at jobs=1 and jobs=3
+// produces identical designs, logs and predictions. The flow runs the VM;
+// the per-run checks above tie it to the tree walker.
 // ----------------------------------------------------------------------
 
 std::string flow_summary(const flow::FlowResult& result) {
@@ -873,33 +907,93 @@ std::string flow_summary(const flow::FlowResult& result) {
     return os.str();
 }
 
-TEST(VmFlow, DesignsAreByteIdenticalAcrossEnginesAndJobs) {
-    const Engine restore = default_engine();
+TEST(VmFlow, DesignsAreByteIdenticalAcrossJobs) {
     std::vector<std::string> summaries;
-    for (const Engine engine : {Engine::Tree, Engine::Vm}) {
-        set_default_engine(engine);
-        for (const int jobs : {1, 3}) {
-            RunOptions options;
-            options.jobs = jobs;
-            summaries.push_back(
-                flow_summary(psaflow::compile(apps::kmeans(), options)));
-        }
+    for (const int jobs : {1, 3}) {
+        RunOptions options;
+        options.jobs = jobs;
+        summaries.push_back(
+            flow_summary(psaflow::compile(apps::kmeans(), options)));
     }
-    set_default_engine(restore);
-    ASSERT_EQ(summaries.size(), 4u);
     EXPECT_FALSE(summaries[0].empty());
-    for (std::size_t i = 1; i < summaries.size(); ++i)
-        EXPECT_EQ(summaries[0], summaries[i]) << "variant " << i;
+    EXPECT_EQ(summaries[0], summaries[1]);
+}
+
+// The flow itself always runs the VM, but it reads every profile through
+// ProfileCache::run, whose key does not name the engine. Walking the flow's
+// own tasks and path selections to record each module state, then seeding
+// the cache with tree-walker profiles of those states, makes the real flow
+// consume only tree-walker profiles; its designs must equal the VM flow's.
+
+/// Run `tasks` on `ctx`, then every path `next`'s strategy selects on a
+/// fork, as the flow engine does, recording the state after each task.
+void record_states(flow::FlowContext& ctx,
+                   const std::vector<flow::TaskPtr>& tasks,
+                   const flow::BranchPoint* next,
+                   std::vector<flow::FlowContext>& states) {
+    for (const flow::TaskPtr& task : tasks) {
+        task->run(ctx);
+        states.push_back(ctx.fork());
+    }
+    if (next == nullptr) return;
+    for (const std::size_t idx : next->strategy->select(ctx, *next)) {
+        const flow::FlowPath& path = next->paths.at(idx);
+        flow::FlowContext forked = ctx.fork();
+        record_states(forked, path.tasks, path.next.get(), states);
+    }
+}
+
+/// Seed the global profile cache with tree-walker profiles of the runs a
+/// task can make on `ctx`'s module: the hotspot profile before extraction,
+/// characterize_kernel's two runs after.
+void seed_tree_profiles(flow::FlowContext& ctx) {
+    auto& cache = analysis::ProfileCache::global();
+    const analysis::Workload& workload = ctx.workload();
+    const double scale = workload.profile_scale;
+    InterpOptions tree;
+    tree.engine = Engine::Tree;
+    if (!ctx.has_kernel()) {
+        (void)cache.run(ctx.module(), ctx.types(), workload.entry,
+                        workload.make_args(scale), tree);
+        return;
+    }
+    tree.focus_function = ctx.spec.kernel_name;
+    for (const double s : {scale, 2.0 * scale})
+        (void)cache.run(ctx.module(), ctx.types(), workload.entry,
+                        workload.make_args(s), tree);
 }
 
 TEST(VmFlow, SecondAppAgreesAcrossEngines) {
-    const Engine restore = default_engine();
-    set_default_engine(Engine::Tree);
-    const auto tree = flow_summary(psaflow::compile(apps::bezier(), {}));
-    set_default_engine(Engine::Vm);
-    const auto vm = flow_summary(psaflow::compile(apps::bezier(), {}));
-    set_default_engine(restore);
-    EXPECT_FALSE(tree.empty());
+    const apps::Application& app = apps::bezier();
+    auto& cache = analysis::ProfileCache::global();
+    const bool was_enabled = cache.enabled();
+    cache.set_enabled(true);
+    cache.clear();
+    const auto vm = flow_summary(psaflow::compile(app, {}));
+
+    flow::FlowContext ctx(app.name,
+                          frontend::parse_module(app.source, app.name),
+                          app.workload);
+    ctx.allow_single_precision = app.allow_single_precision;
+    std::vector<flow::FlowContext> states;
+    states.push_back(ctx.fork());
+    const flow::DesignFlow design_flow =
+        flow::standard_flow(RunOptions{}.mode);
+    record_states(ctx, design_flow.prologue, design_flow.branch.get(),
+                  states);
+
+    cache.clear();
+    for (flow::FlowContext& state : states) seed_tree_profiles(state);
+    const std::uint64_t tree_runs = cache.stats().misses;
+    const auto tree = flow_summary(psaflow::compile(app, {}));
+    const std::uint64_t misses = cache.stats().misses;
+    cache.clear();
+    cache.set_enabled(was_enabled);
+
+    EXPECT_GT(tree_runs, 0u);
+    EXPECT_EQ(misses, tree_runs)
+        << "a profile was computed by the VM instead of the tree walker";
+    EXPECT_FALSE(vm.empty());
     EXPECT_EQ(tree, vm);
 }
 

@@ -286,19 +286,15 @@ int main(int argc, char** argv) {
                "distributed-trace the request; write the assembled "
                "cross-process span tree",
                &trace_out);
-    parser.str("--trace-format", "<fmt>",
-               "--trace-out format: json|chrome (default json)",
-               &trace_format);
+    parser.choice("--trace-format", "<fmt>",
+                  "--trace-out format: json|chrome (default json)",
+                  &trace_format, {"json", "chrome"});
 
     if (!parser.parse(argc, argv)) return 2;
     if (socket_path.empty() ||
         (app.empty() && !stats && !metrics && !logs && !ping &&
          !cluster_stats && !cluster_metrics && !flight && sleep_ms < 0)) {
         std::cerr << parser.usage();
-        return 2;
-    }
-    if (trace_format != "json" && trace_format != "chrome") {
-        std::cerr << "--trace-format must be 'json' or 'chrome'\n";
         return 2;
     }
     std::string endpoint_error;

@@ -4,7 +4,8 @@
 // every differential oracle over each: frontend round-trip, sema
 // acceptance, transform equivalence under the interpreter, crash-free
 // codegen through all three emitters, flow-engine determinism at jobs=1 vs
-// jobs=N and (with --check-cache) cold-vs-warm persistent-cache identity.
+// jobs=N, (with --check-cache) cold-vs-warm persistent-cache identity and
+// (with --check-vm) the bytecode VM against the tree-walking reference.
 // Failures can be delta-reduced (--shrink) and are persisted as replayable
 // .psa files (--corpus-dir).
 //
@@ -13,6 +14,7 @@
 //   psaflow-fuzz --replay tests/corpus
 //   psaflow-fuzz --emit-seeds tests/corpus --seed 1 --runs 20
 //   psaflow-fuzz --seed 1 --runs 25 --check-cache
+//   psaflow-fuzz --seed 1 --runs 200 --check-vm
 //   psaflow-fuzz --seed 1 --max-seconds 60 --runs 1000000   # smoke budget
 //   psaflow-fuzz --check-manifest --seed 1 --runs 200
 //       # manifest mode: random valid flow manifests, differentially
@@ -26,7 +28,6 @@
 #include "fuzz/manifest_fuzz.hpp"
 #include "fuzz/oracle.hpp"
 #include "fuzz/shrink.hpp"
-#include "interp/interpreter.hpp"
 #include "support/cli.hpp"
 
 using namespace psaflow;
@@ -53,7 +54,6 @@ int main(int argc, char** argv) {
     bool check_cache = false;
     bool check_vm = false;
     bool check_manifest = false;
-    std::string interp_engine;
     std::string cache_dir;
     bool no_transforms = false;
     bool no_codegen = false;
@@ -90,16 +90,13 @@ int main(int argc, char** argv) {
                 "also check cold-vs-warm persistent-cache identity",
                 &check_cache);
     parser.flag("--check-vm",
-                "also check tree-vs-VM interpreter bit-identity",
+                "also run each program on the tree-walking reference "
+                "interpreter and require the VM to match it bit for bit",
                 &check_vm);
     parser.flag("--check-manifest",
                 "manifest mode: random valid flow manifests checked "
                 "against programmatic flows",
                 &check_manifest);
-    parser.choice("--interp", "<engine>",
-                  "engine for the single-engine oracles: tree|vm "
-                  "(default: PSAFLOW_INTERP, else vm)",
-                  &interp_engine, {"tree", "vm"});
     parser.str("--cache-dir", "<dir>",
                "store root for --check-cache (default: fresh temp dir)",
                &cache_dir);
@@ -110,8 +107,6 @@ int main(int argc, char** argv) {
     parser.flag("--no-roundtrip", "skip the round-trip oracle",
                 &no_roundtrip);
     if (!parser.parse(argc, argv)) return 2;
-    if (!interp_engine.empty())
-        interp::set_default_engine(*interp::parse_engine(interp_engine));
 
     fuzz::OracleOptions oracle_options;
     oracle_options.problem_size = static_cast<int>(problem_size);

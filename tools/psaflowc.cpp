@@ -155,7 +155,6 @@ int run_batch(const std::string& manifest_path, const cli::FlowFlags& flags,
     session_options.cache_dir = cache_dir;
     session_options.cache_max_bytes =
         static_cast<std::uint64_t>(flags.cache_max_mb) << 20;
-    session_options.interp = flags.interp;
     flow::FlowSession session(session_options);
 
     std::cout << "running " << requests.size()
@@ -215,7 +214,7 @@ int main(int argc, char** argv) {
          "      [--deadline-ms <n>] [--jobs <n>] [--trace-out <file.json>]\n"
          "      [--trace-format json|chrome] [--metrics-out <file>]\n"
          "      [--explain <file.json>] [--explain-md <file.md>]\n"
-         "      [--cache-dir <dir>] [--cache-max-mb <n>] [--interp tree|vm]\n"
+         "      [--cache-dir <dir>] [--cache-max-mb <n>]\n"
          "      [--flow <manifest.json>]",
          "--batch <manifest.json> [--out <dir>] [--jobs <n>] "
          "[--cache-dir <dir>]",
@@ -240,9 +239,9 @@ int main(int argc, char** argv) {
     parser.integer("--deadline-ms", "<n>",
                    "abort the flow after <n> ms (0 = no deadline)",
                    &deadline_ms, /*min=*/0);
-    parser.str("--trace-format", "<fmt>",
-               "--trace-out format: json|chrome (default json)",
-               &trace_format);
+    parser.choice("--trace-format", "<fmt>",
+                  "--trace-out format: json|chrome (default json)",
+                  &trace_format, {"json", "chrome"});
     parser.str("--metrics-out", "<file>",
                "dump run counters in Prometheus text format", &metrics_out);
     parser.str("--explain", "<file.json>",
@@ -256,10 +255,6 @@ int main(int argc, char** argv) {
     cli::add_flow_flags(parser, flow_flags);
 
     if (!parser.parse(argc, argv)) return 2;
-    if (trace_format != "json" && trace_format != "chrome") {
-        std::cerr << "--trace-format must be 'json' or 'chrome'\n";
-        return 2;
-    }
     if ((!explain_out.empty() || !explain_md_out.empty()) &&
         !batch_manifest.empty()) {
         std::cerr << "--explain/--explain-md report a single flow; use "
@@ -375,8 +370,7 @@ int main(int argc, char** argv) {
         session_options.cache_dir = flow_flags.cache_dir;
         session_options.cache_max_bytes =
             static_cast<std::uint64_t>(flow_flags.cache_max_mb) << 20;
-        session_options.interp = flow_flags.interp;
-        flow::FlowSession session(session_options);
+            flow::FlowSession session(session_options);
 
         std::cout << "running the " << mode << " PSA-flow on '" << app_name
                   << "'...\n";
