@@ -1,6 +1,7 @@
 #include "frontend/parser.hpp"
 
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,11 @@ namespace psaflow::frontend {
 namespace {
 
 using namespace psaflow::ast;
+
+/// Deepest expression or statement nesting accepted. Parsing recurses once
+/// per level, so without a cap hostile input (200,000 nested parentheses)
+/// exhausts the stack; past it the parser throws a located ParseError.
+constexpr int kMaxNesting = 256;
 
 class Parser {
 public:
@@ -62,6 +68,24 @@ private:
     [[noreturn]] void fail(const std::string& msg) const {
         throw ParseError(peek().loc, msg);
     }
+
+    /// One level of recursive descent, held for the duration of the
+    /// nested parse (see kMaxNesting).
+    class Nest {
+    public:
+        explicit Nest(Parser& parser) : parser_(parser) {
+            if (parser_.depth_ == kMaxNesting)
+                parser_.fail("nesting deeper than " +
+                             std::to_string(kMaxNesting) + " levels");
+            ++parser_.depth_;
+        }
+        ~Nest() { --parser_.depth_; }
+        Nest(const Nest&) = delete;
+        Nest& operator=(const Nest&) = delete;
+
+    private:
+        Parser& parser_;
+    };
 
     // ---- declarations ------------------------------------------------------
 
@@ -134,6 +158,7 @@ private:
     }
 
     StmtPtr statement() {
+        const Nest nest(*this);
         // Attach any pragma lines to the statement they precede.
         std::vector<std::string> pragmas;
         while (at(TokKind::Pragma)) pragmas.push_back(advance().text);
@@ -184,6 +209,7 @@ private:
         if (accept(TokKind::KwElse)) {
             if (at(TokKind::KwIf)) {
                 // `else if` chain: wrap the nested if into an else-block.
+                const Nest nest(*this);
                 auto wrapper = std::make_unique<Block>();
                 wrapper->loc = peek().loc;
                 wrapper->stmts.push_back(if_statement());
@@ -352,6 +378,7 @@ private:
     }
 
     ExprPtr unary_expr() {
+        const Nest nest(*this);
         const SrcLoc loc = peek().loc;
         if (accept(TokKind::Minus)) {
             auto node = std::make_unique<Unary>();
@@ -449,6 +476,7 @@ private:
 
     std::vector<Token> toks_;
     std::size_t pos_ = 0;
+    int depth_ = 0; ///< open Nest levels
 };
 
 } // namespace

@@ -597,7 +597,7 @@ Value Interpreter::call(const std::string& name, const std::vector<Arg>& args) {
     trace::Registry::current().count(
         "interp.steps",
         static_cast<std::uint64_t>(impl_->steps - steps_before));
-    return out;
+    return out.canonical();
 }
 
 const ExecutionProfile& Interpreter::profile() const { return impl_->prof; }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,18 @@
 #include "support/error.hpp"
 
 namespace psaflow::interp {
+
+/// The one NaN a run lets out. IEEE 754 leaves the sign of a NaN result
+/// open, x86 returns the first operand's NaN, and a compiler may order the
+/// operands of `a + b` either way, so the tree walker and the VM can hold
+/// NaNs of opposite sign for the same operation. Inside a run that sign
+/// is unobservable: no comparison, integer conversion or builtin gives a
+/// non-NaN result that depends on it. Values leave a run only through
+/// Buffer::store and the entry function's result (Value::canonical), and
+/// both pass through here, so the engines agree by construction.
+[[nodiscard]] inline double canonical_nan(double v) {
+    return v != v ? std::numeric_limits<double>::quiet_NaN() : v;
+}
 
 /// A scalar runtime value with its HLC type.
 class Value {
@@ -77,6 +90,15 @@ public:
         return bool_;
     }
 
+    /// This value with any NaN made canonical_nan(), for returning out of
+    /// a run.
+    [[nodiscard]] Value canonical() const {
+        Value out = *this;
+        if (type_ == ast::Type::Float || type_ == ast::Type::Double)
+            out.num_ = canonical_nan(num_);
+        return out;
+    }
+
     /// Convert to the declared type `want` (assignment / parameter passing).
     [[nodiscard]] Value convert_to(ast::Type want) const {
         switch (want) {
@@ -130,7 +152,7 @@ public:
             value = static_cast<double>(static_cast<float>(value));
         else if (elem_ == ast::Type::Int)
             value = static_cast<double>(static_cast<long long>(value));
-        data_[static_cast<std::size_t>(index)] = value;
+        data_[static_cast<std::size_t>(index)] = canonical_nan(value);
     }
 
     [[nodiscard]] const std::vector<double>& raw() const { return data_; }

@@ -786,7 +786,7 @@ Value Vm::call(const std::string& name, const std::vector<Arg>& args) {
     trace::Registry::current().count(
         "interp.steps",
         static_cast<std::uint64_t>(impl_->steps - steps_before));
-    return out;
+    return out.canonical();
 }
 
 const ExecutionProfile& Vm::profile() const { return impl_->prof; }

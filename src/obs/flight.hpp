@@ -45,7 +45,7 @@ struct FlightRecord {
     std::uint64_t exec_us = 0;       ///< execution wall clock
     std::uint64_t total_us = 0;      ///< queue + execute
     std::uint32_t retries = 0;       ///< relay attempts beyond the first
-    std::uint32_t cache_hits = 0;    ///< cas.* hits charged to the request
+    std::uint32_t cache_hits = 0;    ///< CAS, profile-cache and memo hits
     std::uint64_t slo_breach = 0;    ///< 1 when total_us exceeded the SLO
     char lane[16] = {};              ///< "interactive" | "batch" | ""
     char shard[32] = {};             ///< serving shard ("host:port" | name)

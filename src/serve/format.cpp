@@ -71,6 +71,11 @@ std::string stats_table(const json::Value& stats) {
             table.add_row({"profile hit rate",
                            format_compact(100.0 * v->number_or(0.0), 4) + "%"});
     }
+    if (const json::Value* memo = stats.find("flow_cache"))
+        table.add_row({"result memo", integer(memo->find("entries")) +
+                                          " entries, " +
+                                          integer(memo->find("bytes")) +
+                                          " bytes"});
     return table.to_string();
 }
 

@@ -253,7 +253,7 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
     req_trace.queue_wait_us = queue_wait_us;
     const CompileOutcome outcome =
         execute_request(session, job.request.compile, &job.token,
-                        &trace::Registry::global(), &req_trace);
+                        &trace::Registry::global(), &req_trace, &memo_);
     {
         std::lock_guard lock(stats_mu_);
         queue_wait_us_.record(queue_wait_us);
@@ -263,12 +263,7 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
 
     flight.set_app(job.request.compile.app);
     flight.set_lane(to_string(job.request.compile.priority));
-    const auto hits = [&](const char* name) {
-        auto it = outcome.counters.find(name);
-        return it == outcome.counters.end() ? std::uint64_t{0} : it->second;
-    };
-    flight.cache_hits = static_cast<std::uint32_t>(
-        hits("cas.hits") + hits("profile_cache.hits"));
+    flight.cache_hits = cache_hits(outcome);
     if (!outcome.decisions.empty() &&
         !outcome.decisions.front().selected.empty())
         flight.set_winner(outcome.decisions.front().selected.front());
@@ -385,6 +380,10 @@ json::Value Daemon::stats_json() {
     stats.set("queue_lane_depths", std::move(lane_depths));
     stats.set("queue_steals", json::Value::number(double(queue_.steals())));
     stats.set("in_flight", json::Value::number(double(in_flight_.load())));
+    json::Value flow_cache = json::Value::object();
+    flow_cache.set("entries", json::Value::number(double(memo_.entries())));
+    flow_cache.set("bytes", json::Value::number(double(memo_.bytes())));
+    stats.set("flow_cache", std::move(flow_cache));
     stats.set("draining", json::Value::boolean(core_.shutting_down()));
 
     const DaemonCounters counts = counters();
@@ -447,6 +446,12 @@ std::string Daemon::metrics_text() {
                    double(in_flight_.load()));
     renderer.gauge("psaflowd_draining", "1 while shutting down",
                    core_.shutting_down() ? 1.0 : 0.0);
+    renderer.gauge("psaflowd_flow_cache_entries",
+                   "Compile results held by the result memo",
+                   double(memo_.entries()));
+    renderer.gauge("psaflowd_flow_cache_bytes",
+                   "Bytes the result memo's entries are charged",
+                   double(memo_.bytes()));
 
     const DaemonCounters counts = counters();
     std::lock_guard lock(stats_mu_);

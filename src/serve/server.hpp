@@ -44,6 +44,7 @@
 #include "serve/connection_core.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
+#include "serve/result_memo.hpp"
 #include "support/cancel.hpp"
 #include "support/histogram.hpp"
 
@@ -154,6 +155,7 @@ private:
     Histogram queue_wait_us_;
     std::map<std::string, Histogram> task_latency_us_;
     std::map<std::string, std::uint64_t> flow_counters_;
+    ResultMemo memo_; ///< whole-flow results, shared by the workers
 
     ConnectionCore core_; ///< last member: its threads use all the above
 };

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 
 #include "core/psaflow.hpp"
@@ -16,25 +17,12 @@ namespace psaflow::serve {
 
 namespace {
 
-/// Body of execute_request, running with the request's private registry
-/// already installed; split out so the wrapper can time it and harvest the
-/// registry regardless of how it returns.
-CompileOutcome run_compile(flow::FlowSession& session,
-                           const CompileRequest& req,
-                           const CancelToken* cancel) {
-    CompileOutcome outcome;
-
-    const apps::Application* app = nullptr;
-    try {
-        app = &apps::application_by_name(req.app);
-    } catch (const Error& e) {
-        outcome.error_kind = ErrorKind::BadRequest;
-        outcome.error = e.what();
-        obs::warn("serve", "rejected compile request",
-                  {{"app", req.app}, {"error", e.what()}});
-        return outcome;
-    }
-
+/// Run the flow for `req` and collect what it produced. On failure the
+/// outcome carries the classified error and the result is null.
+std::shared_ptr<const FlowProducts>
+run_flow(flow::FlowSession& session, const apps::Application& app,
+         const CompileRequest& req, const CancelToken* cancel,
+         CompileOutcome& outcome) {
     RunOptions options;
     options.mode = req.mode == "informed" ? flow::Mode::Informed
                                           : flow::Mode::Uninformed;
@@ -54,61 +42,37 @@ CompileOutcome run_compile(flow::FlowSession& session,
             outcome.error = e.what();
             obs::warn("serve", "rejected compile request",
                       {{"app", req.app}, {"error", e.what()}});
-            return outcome;
+            return nullptr;
         }
         options.flow_manifest = &manifest;
     }
 
     flow::FlowResult result;
     try {
-        result = compile(session, *app, options);
+        result = compile(session, app, options);
     } catch (const CancelledError& e) {
         outcome.error_kind = ErrorKind::DeadlineExceeded;
         outcome.error = std::string("flow failed: ") + e.what();
         obs::info("serve", "compile deadline exceeded",
                   {{"app", req.app}, {"reason", e.what()}});
-        return outcome;
+        return nullptr;
     } catch (const Error& e) {
         outcome.error_kind = ErrorKind::Internal;
         outcome.error = std::string("flow failed: ") + e.what();
         obs::error("serve", "compile failed",
                    {{"app", req.app}, {"error", e.what()}});
-        return outcome;
+        return nullptr;
     }
-    outcome.decisions = std::move(result.decisions);
 
-    std::filesystem::create_directories(req.out_dir);
+    auto products = std::make_shared<FlowProducts>();
     CsvWriter summary({"design", "target", "device", "synthesizable",
                        "hotspot_seconds", "speedup_vs_1t", "loc_delta",
                        "source_file"});
-
-    for (const auto& design : result.designs) {
+    for (auto& design : result.designs) {
         const std::string ext =
             design.spec.target == codegen::TargetKind::CpuFpga ? ".sycl.cpp"
             : design.spec.target == codegen::TargetKind::CpuGpu ? ".hip.cpp"
                                                                 : ".cpp";
-        const std::string filename = design.name() + ext;
-        const std::filesystem::path path =
-            std::filesystem::path(req.out_dir) / filename;
-        std::ofstream file(path);
-        if (!file) {
-            outcome.error_kind = ErrorKind::Internal;
-            outcome.error = "cannot write " + path.string();
-            obs::error("serve", "cannot write design file",
-                       {{"app", req.app}, {"path", path.string()}});
-            return outcome;
-        }
-        file << design.source;
-
-        summary.add_row({design.name(),
-                         codegen::to_string(design.spec.target),
-                         platform::to_string(design.spec.device),
-                         design.synthesizable ? "yes" : "no",
-                         format_compact(design.hotspot_seconds, 6),
-                         format_compact(design.speedup, 4),
-                         format_compact(design.loc_delta, 4),
-                         filename});
-
         DesignRow row;
         row.name = design.name();
         row.target = codegen::to_string(design.spec.target);
@@ -117,23 +81,88 @@ CompileOutcome run_compile(flow::FlowSession& session,
         row.hotspot_seconds = design.hotspot_seconds;
         row.speedup = design.speedup;
         row.loc_delta = design.loc_delta;
-        row.filename = filename;
-        outcome.designs.push_back(std::move(row));
+        row.filename = row.name + ext;
 
-        if (design.synthesizable && design.speedup > outcome.best_speedup)
-            outcome.best_speedup = design.speedup;
+        summary.add_row({row.name, row.target, row.device,
+                         design.synthesizable ? "yes" : "no",
+                         format_compact(design.hotspot_seconds, 6),
+                         format_compact(design.speedup, 4),
+                         format_compact(design.loc_delta, 4), row.filename});
+        if (design.synthesizable && design.speedup > products->best_speedup)
+            products->best_speedup = design.speedup;
+        products->designs.push_back(std::move(row));
+        products->sources.push_back(std::move(design.source));
+    }
+    products->summary_csv = summary.to_string();
+    products->decisions = std::move(result.decisions);
+    products->reference_seconds = result.reference_seconds;
+    return products;
+}
+
+/// Body of execute_request, running with the request's private registry
+/// already installed; split out so the wrapper can time it and harvest the
+/// registry regardless of how it returns. Fresh and memoised products
+/// take the same write loop.
+CompileOutcome run_compile(flow::FlowSession& session,
+                           const CompileRequest& req,
+                           const CancelToken* cancel, ResultMemo* memo) {
+    CompileOutcome outcome;
+
+    const apps::Application* app = nullptr;
+    try {
+        app = &apps::application_by_name(req.app);
+    } catch (const Error& e) {
+        outcome.error_kind = ErrorKind::BadRequest;
+        outcome.error = e.what();
+        obs::warn("serve", "rejected compile request",
+                  {{"app", req.app}, {"error", e.what()}});
+        return outcome;
+    }
+
+    std::string key;
+    std::shared_ptr<const FlowProducts> products;
+    if (memo != nullptr) {
+        key = ResultMemo::key_of(req);
+        products = memo->lookup(key);
+        trace::Registry::current().count(
+            products != nullptr ? "flow_cache.hits" : "flow_cache.misses", 1);
+    }
+    const bool memo_hit = products != nullptr;
+    if (!memo_hit) {
+        products = run_flow(session, *app, req, cancel, outcome);
+        if (products == nullptr) return outcome;
+    }
+    outcome.decisions = products->decisions;
+
+    std::filesystem::create_directories(req.out_dir);
+    for (std::size_t i = 0; i < products->designs.size(); ++i) {
+        const std::filesystem::path path =
+            std::filesystem::path(req.out_dir) /
+            products->designs[i].filename;
+        std::ofstream file(path);
+        if (!file) {
+            outcome.error_kind = ErrorKind::Internal;
+            outcome.error = "cannot write " + path.string();
+            obs::error("serve", "cannot write design file",
+                       {{"app", req.app}, {"path", path.string()}});
+            return outcome;
+        }
+        file << products->sources[i];
     }
 
     const std::filesystem::path summary_path =
         std::filesystem::path(req.out_dir) / (app->name + "-summary.csv");
     std::ofstream summary_file(summary_path);
-    summary_file << summary.to_string();
+    summary_file << products->summary_csv;
 
     outcome.ok = true;
     outcome.error_kind = ErrorKind::None;
-    outcome.design_count = result.designs.size();
-    outcome.reference_seconds = result.reference_seconds;
+    outcome.designs = products->designs;
+    outcome.design_count = products->designs.size();
+    outcome.best_speedup = products->best_speedup;
+    outcome.reference_seconds = products->reference_seconds;
     outcome.summary_path = summary_path.string();
+    if (memo != nullptr && !memo_hit) memo->insert(key, std::move(products));
     return outcome;
 }
 
@@ -143,7 +172,8 @@ CompileOutcome execute_request(flow::FlowSession& session,
                                const CompileRequest& req,
                                const CancelToken* cancel,
                                trace::Registry* merge_into,
-                               const RequestTrace* req_trace) {
+                               const RequestTrace* req_trace,
+                               ResultMemo* memo) {
     // A request-armed deadline when no caller token was provided: the CLI
     // paths land here; the daemon passes its own token, armed at receipt.
     CancelToken local_token;
@@ -175,7 +205,7 @@ CompileOutcome execute_request(flow::FlowSession& session,
             scoped_parent.emplace(exec_id);
         }
         try {
-            outcome = run_compile(session, req, cancel);
+            outcome = run_compile(session, req, cancel, memo);
         } catch (const std::exception& e) {
             // Belt-and-braces failure isolation: nothing past run_compile's
             // own handlers may escape into a daemon worker loop.
@@ -210,6 +240,16 @@ CompileOutcome execute_request(flow::FlowSession& session,
                          queue_us, exec_us);
     }
     return outcome;
+}
+
+std::uint32_t cache_hits(const CompileOutcome& outcome) {
+    std::uint64_t hits = 0;
+    for (const char* name :
+         {"cas.hits", "profile_cache.hits", "flow_cache.hits"}) {
+        const auto it = outcome.counters.find(name);
+        if (it != outcome.counters.end()) hits += it->second;
+    }
+    return static_cast<std::uint32_t>(hits);
 }
 
 } // namespace psaflow::serve

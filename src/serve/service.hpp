@@ -21,22 +21,11 @@
 #include "flow/session.hpp"
 #include "obs/decision.hpp"
 #include "serve/request.hpp"
+#include "serve/result_memo.hpp"
 #include "support/cancel.hpp"
 #include "support/trace.hpp"
 
 namespace psaflow::serve {
-
-/// One generated design, as reported back to the client.
-struct DesignRow {
-    std::string name;
-    std::string target;
-    std::string device;
-    bool synthesizable = false;
-    double hotspot_seconds = 0.0;
-    double speedup = 0.0;
-    double loc_delta = 0.0;
-    std::string filename;
-};
 
 struct CompileOutcome {
     bool ok = false;
@@ -81,12 +70,25 @@ struct RequestTrace {
 /// queue requests (the daemon) instead arm their own token at *receipt*
 /// so queue wait counts against the deadline.
 ///
+/// `memo` (nullable, not owned; serve/result_memo.hpp) answers a request
+/// whose key it holds without running the flow: the stored products go
+/// through the same write loop into `req.out_dir`, and the request counts
+/// `flow_cache.hits`. A miss counts `flow_cache.misses` and stores the
+/// products once the request has succeeded. Without a memo nothing is
+/// looked up, stored or counted.
+///
 /// Never throws: all failures land in the outcome, so one bad request
 /// cannot take down a worker (per-request failure isolation).
 [[nodiscard]] CompileOutcome
 execute_request(flow::FlowSession& session, const CompileRequest& req,
                 const CancelToken* cancel = nullptr,
                 trace::Registry* merge_into = &trace::Registry::global(),
-                const RequestTrace* req_trace = nullptr);
+                const RequestTrace* req_trace = nullptr,
+                ResultMemo* memo = nullptr);
+
+/// The cache hits a request's counters record, summed over the design
+/// CAS, the profile cache and the result memo: the flight recorder's
+/// `cache_hits`, shared by psaflowd and psaflowc.
+[[nodiscard]] std::uint32_t cache_hits(const CompileOutcome& outcome);
 
 } // namespace psaflow::serve

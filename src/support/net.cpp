@@ -1,5 +1,6 @@
 #include "support/net.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -71,6 +72,11 @@ const char* to_string(FrameStatus status) {
 }
 
 namespace {
+/// read_frame grows its buffer by at most this much per read, so a peer
+/// that declares a large frame and stalls holds at most one step more
+/// than it has sent.
+constexpr std::size_t kFrameReadStep = 1u << 20;
+
 void store_u32(unsigned char* out, std::uint32_t v) {
     out[0] = static_cast<unsigned char>(v);
     out[1] = static_cast<unsigned char>(v >> 8);
@@ -97,9 +103,15 @@ FrameStatus read_frame(int fd, std::string& payload) {
     if (load_u32(header) != kFrameMagic) return FrameStatus::Torn;
     const std::uint32_t length = load_u32(header + 4);
     if (length > kMaxFramePayload) return FrameStatus::TooLarge;
-    payload.resize(length);
-    if (length > 0 && !read_exact(fd, payload.data(), length))
-        return FrameStatus::Torn;
+    payload.clear();
+    while (payload.size() < length) {
+        const std::size_t have = payload.size();
+        const std::size_t step =
+            std::min<std::size_t>(length - have, kFrameReadStep);
+        payload.resize(have + step);
+        if (!read_exact(fd, payload.data() + have, step))
+            return FrameStatus::Torn;
+    }
     return FrameStatus::Ok;
 }
 

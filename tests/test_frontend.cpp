@@ -249,5 +249,52 @@ TEST(Parser, WhileLoop) {
     ASSERT_NE(w, nullptr);
 }
 
+TEST(Parser, DeepParenthesesAreALocatedErrorNotACrash) {
+    const std::size_t depth = 200000;
+    const std::string prefix = "double f() { double total = ";
+    const std::string src = prefix + std::string(depth, '(') + "1.0" +
+                            std::string(depth, ')') + "; return total; }";
+    try {
+        (void)parse(src);
+        FAIL() << "200,000 nested parentheses parsed";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.where().line, 1u);
+        EXPECT_GT(e.where().col, prefix.size()); // inside the parentheses
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Parser, DeepBlocksAreALocatedErrorNotACrash) {
+    const std::size_t depth = 200000;
+    const std::string src = "void f() " + std::string(depth, '{') +
+                            std::string(depth, '}');
+    try {
+        (void)parse(src);
+        FAIL() << "200,000 nested blocks parsed";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.where().line, 1u);
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Parser, NestingBelowTheBoundStillParses) {
+    const std::string parens = "double f() { return " +
+                               std::string(200, '(') + "1.0" +
+                               std::string(200, ')') + "; }";
+    EXPECT_NO_THROW((void)parse(parens));
+    const std::string blocks =
+        "void f() " + std::string(200, '{') + std::string(200, '}');
+    EXPECT_NO_THROW((void)parse(blocks));
+    std::string chain = "int f(int a) { int r = 0; ";
+    for (int i = 0; i < 200; ++i)
+        chain += "if (a == " + std::to_string(i) + ") { r = 1; } else ";
+    chain += "{ r = 2; } return r; }";
+    EXPECT_NO_THROW((void)parse(chain));
+}
+
 } // namespace
 } // namespace psaflow

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -19,9 +20,11 @@
 #include "footprint.hpp"
 #include "obs/flight.hpp"
 #include "serve/connection_core.hpp"
+#include "serve/format.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
+#include "serve/result_memo.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "serve/wire_trace.hpp"
@@ -140,6 +143,26 @@ TEST(Net, BadMagicAndOversizedLengthAreRejected) {
         EXPECT_EQ(net::read_frame(b.get(), payload),
                   net::FrameStatus::TooLarge);
     }
+}
+
+TEST(Net, StalledLargeFrameHoldsOnlyWhatArrived) {
+    net::Fd a, b;
+    ASSERT_TRUE(net::socket_pair(a, b));
+    // A header declaring the largest legal payload, one byte of it, EOF.
+    std::string frame;
+    const std::uint32_t magic = net::kFrameMagic;
+    const std::uint32_t length = net::kMaxFramePayload;
+    for (int i = 0; i < 4; ++i)
+        frame.push_back(static_cast<char>((magic >> (8 * i)) & 0xff));
+    for (int i = 0; i < 4; ++i)
+        frame.push_back(static_cast<char>((length >> (8 * i)) & 0xff));
+    frame.push_back('{');
+    ASSERT_TRUE(net::write_exact(a.get(), frame.data(), frame.size()));
+    a.reset();
+    std::string payload;
+    EXPECT_EQ(net::read_frame(b.get(), payload), net::FrameStatus::Torn);
+    // The buffer grew with the bytes that came, not the declared length.
+    EXPECT_LT(payload.capacity(), std::size_t{2} << 20);
 }
 
 TEST(Net, PipelinedFramesReadBackInOrder) {
@@ -1042,6 +1065,261 @@ TEST(ExecuteRequest, ExportedStandardFlowMatchesTheBuiltin) {
     }
 }
 
+// ------------------------------------------------------------ result memo ----
+
+/// Every regular file under `root`, by path relative to it, with its bytes.
+std::map<std::string, std::string> read_tree(const fs::path& root) {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : fs::recursive_directory_iterator(root)) {
+        if (!entry.is_regular_file()) continue;
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::stringstream bytes;
+        bytes << in.rdbuf();
+        files[fs::relative(entry.path(), root).string()] = bytes.str();
+    }
+    return files;
+}
+
+std::uint64_t counter_or_zero(const serve::CompileOutcome& outcome,
+                              const std::string& name) {
+    const auto it = outcome.counters.find(name);
+    return it == outcome.counters.end() ? 0 : it->second;
+}
+
+TEST(ResultMemo, HitReplaysTheFreshCompileIntoAnotherOutDir) {
+    ScratchDir dir("memo-hit");
+    flow::FlowSession session;
+    serve::ResultMemo memo;
+    serve::CompileRequest req;
+    req.app = "kmeans";
+    req.mode = "uninformed"; // the branched flow: five designs
+    req.out_dir = (dir.path / "fresh").string();
+    const serve::CompileOutcome fresh = serve::execute_request(
+        session, req, nullptr, nullptr, nullptr, &memo);
+    ASSERT_TRUE(fresh.ok) << fresh.error;
+    EXPECT_EQ(counter_or_zero(fresh, "flow_cache.misses"), 1u);
+    EXPECT_EQ(counter_or_zero(fresh, "flow_cache.hits"), 0u);
+    EXPECT_EQ(counter_or_zero(fresh, "flow.runs"), 1u);
+    EXPECT_EQ(memo.entries(), 1u);
+
+    req.out_dir = (dir.path / "replayed").string();
+    const serve::CompileOutcome hit = serve::execute_request(
+        session, req, nullptr, nullptr, nullptr, &memo);
+    ASSERT_TRUE(hit.ok) << hit.error;
+    EXPECT_EQ(counter_or_zero(hit, "flow_cache.hits"), 1u);
+    EXPECT_EQ(counter_or_zero(hit, "flow_cache.misses"), 0u);
+    EXPECT_EQ(counter_or_zero(hit, "flow.runs"), 0u); // compile() skipped
+    EXPECT_EQ(serve::cache_hits(hit), 1u);
+
+    // Same design files and summary CSV, byte for byte, in its own dir.
+    const auto fresh_files = read_tree(dir.path / "fresh");
+    EXPECT_EQ(fresh_files.size(), fresh.designs.size() + 1);
+    EXPECT_EQ(fresh_files.count("kmeans-summary.csv"), 1u);
+    EXPECT_EQ(read_tree(dir.path / "replayed"), fresh_files);
+    EXPECT_EQ(fs::path(hit.summary_path).parent_path(),
+              fs::path(req.out_dir));
+
+    // The response is the fresh one but for wall_us, summary_path and the
+    // counters.
+    const auto comparable = [&](const serve::CompileOutcome& outcome) {
+        json::Value response = serve::make_compile_response(req, outcome);
+        response.set("wall_us", json::Value::number(0));
+        response.set("summary_path", json::Value::string(""));
+        response.set("counters", json::Value::object());
+        return json::dump(response);
+    };
+    EXPECT_EQ(comparable(hit), comparable(fresh));
+    EXPECT_EQ(hit.decisions.size(), fresh.decisions.size());
+}
+
+TEST(ResultMemo, KeyCoversEveryFlowInputAndNothingElse) {
+    ScratchDir dir("memo-key");
+    flow::FlowSession session;
+    serve::ResultMemo memo;
+    serve::CompileRequest base;
+    base.app = "adpredictor";
+    base.out_dir = (dir.path / "base").string();
+    ASSERT_TRUE(serve::execute_request(session, base, nullptr, nullptr,
+                                       nullptr, &memo)
+                    .ok);
+
+    struct Case {
+        const char* change;
+        void (*apply)(serve::CompileRequest&);
+        bool hits;
+    };
+    const Case cases[] = {
+        {"app", [](serve::CompileRequest& r) { r.app = "kmeans"; }, false},
+        {"mode", [](serve::CompileRequest& r) { r.mode = "uninformed"; },
+         false},
+        {"budget", [](serve::CompileRequest& r) { r.budget = 1.0e6; }, false},
+        {"threshold_x",
+         [](serve::CompileRequest& r) {
+             r.threshold_x = std::nextafter(r.threshold_x, 5.0);
+         },
+         false},
+        {"flow_json",
+         [](serve::CompileRequest& r) {
+             r.flow_json = json::dump(flow::to_manifest(
+                 flow::standard_flow(flow::Mode::Informed)));
+         },
+         false},
+        {"out_dir only", [](serve::CompileRequest&) {}, true},
+        {"deadline_ms",
+         [](serve::CompileRequest& r) { r.deadline_ms = 600000; }, true},
+        {"priority",
+         [](serve::CompileRequest& r) {
+             r.priority = serve::Priority::Batch;
+         },
+         true},
+    };
+    int index = 0;
+    for (const Case& c : cases) {
+        serve::CompileRequest req = base;
+        c.apply(req);
+        req.out_dir = (dir.path / ("case-" + std::to_string(index++))).string();
+        const serve::CompileOutcome outcome = serve::execute_request(
+            session, req, nullptr, nullptr, nullptr, &memo);
+        ASSERT_TRUE(outcome.ok) << c.change << ": " << outcome.error;
+        EXPECT_EQ(counter_or_zero(outcome, "flow_cache.hits"),
+                  c.hits ? 1u : 0u)
+            << c.change;
+        EXPECT_EQ(counter_or_zero(outcome, "flow_cache.misses"),
+                  c.hits ? 0u : 1u)
+            << c.change;
+        EXPECT_EQ(serve::ResultMemo::key_of(req) ==
+                      serve::ResultMemo::key_of(base),
+                  c.hits)
+            << c.change;
+    }
+
+    // A traced request shares the untraced request's key too.
+    serve::RequestTrace trace;
+    trace.trace_id = 0xabcu;
+    trace.parent_span = 9;
+    serve::CompileRequest traced = base;
+    traced.out_dir = (dir.path / "traced").string();
+    const serve::CompileOutcome outcome = serve::execute_request(
+        session, traced, nullptr, nullptr, &trace, &memo);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(counter_or_zero(outcome, "flow_cache.hits"), 1u);
+}
+
+TEST(ResultMemo, FailedAndCancelledOutcomesAreNeverStored) {
+    ScratchDir dir("memo-fail");
+    flow::FlowSession session;
+    serve::ResultMemo memo;
+    serve::CompileRequest req;
+    req.app = "adpredictor";
+    req.out_dir = (dir.path / "out").string();
+
+    CancelToken fired;
+    fired.cancel();
+    const serve::CompileOutcome cancelled = serve::execute_request(
+        session, req, &fired, nullptr, nullptr, &memo);
+    EXPECT_EQ(cancelled.error_kind, serve::ErrorKind::DeadlineExceeded);
+    EXPECT_EQ(memo.entries(), 0u);
+
+    // The flow succeeds but its designs cannot be written: out_dir is
+    // under a regular file.
+    std::ofstream(dir.path / "file") << "not a directory";
+    serve::CompileRequest unwritable = req;
+    unwritable.out_dir = (dir.path / "file" / "out").string();
+    const serve::CompileOutcome failed = serve::execute_request(
+        session, unwritable, nullptr, nullptr, nullptr, &memo);
+    EXPECT_FALSE(failed.ok);
+    EXPECT_EQ(failed.error_kind, serve::ErrorKind::Internal);
+    EXPECT_EQ(memo.entries(), 0u);
+
+    serve::CompileRequest unknown = req;
+    unknown.app = "no_such_app";
+    EXPECT_EQ(serve::execute_request(session, unknown, nullptr, nullptr,
+                                     nullptr, &memo)
+                  .error_kind,
+              serve::ErrorKind::BadRequest);
+    EXPECT_EQ(memo.entries(), 0u);
+
+    // None of those left anything behind: the next attempt still misses.
+    const serve::CompileOutcome ok = serve::execute_request(
+        session, req, nullptr, nullptr, nullptr, &memo);
+    ASSERT_TRUE(ok.ok) << ok.error;
+    EXPECT_EQ(counter_or_zero(ok, "flow_cache.misses"), 1u);
+    EXPECT_EQ(memo.entries(), 1u);
+}
+
+/// Products whose only payload is one design source of `size` bytes.
+std::shared_ptr<const serve::FlowProducts> products_of(std::size_t size,
+                                                       char fill = 'x') {
+    auto products = std::make_shared<serve::FlowProducts>();
+    products->designs.push_back(serve::DesignRow{});
+    products->sources.push_back(std::string(size, fill));
+    return products;
+}
+
+TEST(ResultMemo, EvictsLeastRecentlyUsedWithinTheByteCap) {
+    const std::size_t one =
+        serve::ResultMemo::entry_bytes("k1", *products_of(1000));
+    serve::ResultMemo memo(2 * one + one / 2); // room for two entries
+    memo.insert("k1", products_of(1000));
+    memo.insert("k2", products_of(1000));
+    EXPECT_EQ(memo.entries(), 2u);
+    EXPECT_EQ(memo.bytes(), 2 * one);
+
+    ASSERT_NE(memo.lookup("k1"), nullptr); // k2 is now least recent
+    memo.insert("k3", products_of(1000));
+    EXPECT_EQ(memo.entries(), 2u);
+    EXPECT_LE(memo.bytes(), memo.capacity_bytes());
+    EXPECT_EQ(memo.lookup("k2"), nullptr);
+    EXPECT_NE(memo.lookup("k1"), nullptr);
+    EXPECT_NE(memo.lookup("k3"), nullptr);
+
+    // Re-inserting a held key keeps the first value.
+    const auto held = memo.lookup("k3");
+    memo.insert("k3", products_of(1000, 'y'));
+    EXPECT_EQ(memo.lookup("k3"), held);
+
+    // An entry larger than the whole cap is not stored and evicts nothing.
+    memo.insert("huge", products_of(memo.capacity_bytes()));
+    EXPECT_EQ(memo.lookup("huge"), nullptr);
+    EXPECT_EQ(memo.entries(), 2u);
+
+    // Filling past the cap evicts oldest first, one entry at a time.
+    memo.insert("k4", products_of(1000)); // evicts k1 (k3 was just used)
+    EXPECT_EQ(memo.lookup("k1"), nullptr);
+    EXPECT_NE(memo.lookup("k3"), nullptr);
+    EXPECT_NE(memo.lookup("k4"), nullptr);
+    EXPECT_EQ(memo.bytes(), 2 * one);
+}
+
+TEST(ResultMemo, ConcurrentInsertLookupAndEvictStayConsistent) {
+    const std::size_t one =
+        serve::ResultMemo::entry_bytes("key-00", *products_of(256));
+    serve::ResultMemo memo(4 * one); // 16 keys compete for 4 slots
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 2000; ++i) {
+                const int k = (i * 7 + t * 3) % 16;
+                const std::string key =
+                    std::string("key-") + char('a' + k / 10) +
+                    char('0' + k % 10);
+                const char fill = static_cast<char>('A' + k);
+                if (auto found = memo.lookup(key)) {
+                    if (found->sources.front() != std::string(256, fill))
+                        ++wrong;
+                } else {
+                    memo.insert(key, products_of(256, fill));
+                }
+                if (memo.bytes() > memo.capacity_bytes()) ++wrong;
+            }
+        });
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_LE(memo.entries(), 4u);
+    EXPECT_EQ(memo.bytes(), memo.entries() * one);
+}
+
 // -------------------------------------------------------- connection core ----
 
 /// Send one frame on `conn` and read the reply frame back.
@@ -1182,11 +1460,16 @@ TEST(Daemon, ServesConcurrentCompilesIdenticalToDirectExecution) {
         ASSERT_NE(ok, nullptr) << "request " << i;
         EXPECT_TRUE(ok->bool_value) << json::dump(responses[i]);
         // Per-request metrics isolation across daemon workers too.
+        // A repeated key may be answered from the result memo, so each
+        // response reports exactly one flow run or one memo hit, never 2.
         const json::Value* counters = responses[i].find("counters");
         ASSERT_NE(counters, nullptr);
         const json::Value* runs = counters->find("flow.runs");
-        ASSERT_NE(runs, nullptr);
-        EXPECT_DOUBLE_EQ(runs->number_value, 1.0);
+        const json::Value* hits = counters->find("flow_cache.hits");
+        const double ran = runs != nullptr ? runs->number_value : 0.0;
+        const double hit = hits != nullptr ? hits->number_value : 0.0;
+        EXPECT_TRUE((ran == 1.0 && hit == 0.0) || (ran == 0.0 && hit == 1.0))
+            << json::dump(*counters);
     }
 
     // Byte-identical to running the same request directly in-process.
@@ -1216,6 +1499,59 @@ TEST(Daemon, ServesConcurrentCompilesIdenticalToDirectExecution) {
 
     fixture.drain();
     EXPECT_FALSE(fs::exists(fixture.socket()));
+}
+
+TEST(Daemon, RepeatedCompileIsAnsweredFromTheResultMemo) {
+    DaemonFixture fixture("memo", [] {
+        serve::DaemonOptions options;
+        options.workers = 1;
+        return options;
+    }());
+    fixture.start();
+
+    const auto counter = [](const json::Value& response, const char* name) {
+        const json::Value* counters = response.find("counters");
+        const json::Value* value =
+            counters != nullptr ? counters->find(name) : nullptr;
+        return value != nullptr ? value->number_value : 0.0;
+    };
+    const json::Value first = client_round_trip(
+        fixture.socket(),
+        R"({"type":"compile","app":"kmeans","out":"first"})");
+    ASSERT_TRUE(first.find("ok")->bool_value) << json::dump(first);
+    EXPECT_EQ(counter(first, "flow.runs"), 1.0);
+    EXPECT_EQ(counter(first, "flow_cache.misses"), 1.0);
+
+    const json::Value second = client_round_trip(
+        fixture.socket(),
+        R"({"type":"compile","app":"kmeans","out":"second"})");
+    ASSERT_TRUE(second.find("ok")->bool_value) << json::dump(second);
+    EXPECT_EQ(counter(second, "flow.runs"), 0.0);
+    EXPECT_EQ(counter(second, "flow_cache.hits"), 1.0);
+    const fs::path out_root = fixture.daemon.options().out_root;
+    EXPECT_TRUE(fs::exists(out_root / "second" / "kmeans-summary.csv"));
+
+    // The flight recorder counts the memo hit as a cache hit.
+    const auto flights = obs::FlightRecorder::global().snapshot(1);
+    ASSERT_EQ(flights.size(), 1u);
+    EXPECT_GE(flights.back().cache_hits, 1u);
+
+    // The memo's size is visible in --stats and --metrics.
+    const json::Value stats =
+        client_round_trip(fixture.socket(), R"({"type":"stats"})");
+    const json::Value* flow_cache = stats.find("flow_cache");
+    ASSERT_NE(flow_cache, nullptr) << json::dump(stats);
+    EXPECT_EQ(flow_cache->find("entries")->number_value, 1.0);
+    EXPECT_GT(flow_cache->find("bytes")->number_value, 0.0);
+    EXPECT_LE(flow_cache->find("bytes")->number_value,
+              double(serve::ResultMemo::kDefaultCapacityBytes));
+    EXPECT_NE(serve::stats_table(stats).find("result memo"),
+              std::string::npos);
+    const std::string metrics = fixture.daemon.metrics_text();
+    EXPECT_NE(metrics.find("psaflowd_flow_cache_entries 1"),
+              std::string::npos);
+    EXPECT_NE(metrics.find("psaflowd_flow_cache_bytes "), std::string::npos);
+    EXPECT_NE(metrics.find("psaflow_flow_cache_hits 1"), std::string::npos);
 }
 
 TEST(Daemon, FullQueueRejectsWithRetryHint) {

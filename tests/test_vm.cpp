@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -497,6 +499,37 @@ TEST(VmDispatch, FloatCompoundRoundsOnceThroughDouble) {
     expect_both_return(src, "f",
                        {Value::of_float(1.1), Value::of_float(3.7)},
                        tree.result);
+}
+
+TEST(VmDispatch, NaNsLeaveARunAsTheCanonicalQuietNaN) {
+    // x86's 0.0 / 0.0 has its sign bit set and negation flips it; either
+    // way the stored elements and the result are the one canonical NaN on
+    // both engines, bit for bit.
+    const char* src = R"(double f(double* b, float* c, double z) {
+    b[0] = z / z;
+    b[1] = -(z / z);
+    c[0] = z / z;
+    return z / z;
+}
+)";
+    const double canonical = std::numeric_limits<double>::quiet_NaN();
+    const auto bits = [](double v) {
+        std::uint64_t out = 0;
+        std::memcpy(&out, &v, sizeof v);
+        return out;
+    };
+    for (const Engine engine : {Engine::Tree, Engine::Vm}) {
+        auto b = std::make_shared<Buffer>(ast::Type::Double, 2, "b");
+        auto c = std::make_shared<Buffer>(ast::Type::Float, 1, "c");
+        const auto out =
+            run_engine(src, "f", {b, c, Value::of_double(0.0)}, engine);
+        ASSERT_FALSE(out.threw) << to_string(engine) << ": " << out.error;
+        EXPECT_EQ(bits(out.result.as_double()), bits(canonical))
+            << to_string(engine);
+        EXPECT_EQ(bits(b->raw()[0]), bits(canonical)) << to_string(engine);
+        EXPECT_EQ(bits(b->raw()[1]), bits(canonical)) << to_string(engine);
+        EXPECT_EQ(bits(c->raw()[0]), bits(canonical)) << to_string(engine);
+    }
 }
 
 // ----------------------------------------------------------------------

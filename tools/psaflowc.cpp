@@ -93,12 +93,7 @@ void record_flight(const serve::CompileRequest& req,
     flight.set_lane("local");
     flight.exec_us = outcome.wall_us;
     flight.total_us = outcome.wall_us;
-    const auto hits = [&outcome](const char* name) {
-        const auto it = outcome.counters.find(name);
-        return it == outcome.counters.end() ? std::uint64_t{0} : it->second;
-    };
-    flight.cache_hits = static_cast<std::uint32_t>(
-        hits("cas.hits") + hits("profile_cache.hits"));
+    flight.cache_hits = serve::cache_hits(outcome);
     if (!outcome.decisions.empty() &&
         !outcome.decisions.front().selected.empty())
         flight.set_winner(outcome.decisions.front().selected.front());
