@@ -65,10 +65,11 @@ parse_compile_request(const json::Value& entry, CompileRequest& out);
 /// The request's cache-affinity key: a digest of the module source it will
 /// compile (the bundled app's HLC text when the app is known, else the
 /// name) plus any in-request flow manifest. Everything warm about a
-/// request — profile-cache entries, design artifacts, a worker's parsed
-/// session state — keys off this content, so the cluster router
-/// consistent-hashes it onto shards and the daemon's LaneQueue uses it for
-/// worker sub-queue affinity. Deterministic across processes and hosts.
+/// request — profile-cache entries, design artifacts, memoized results —
+/// keys off this content, so psaflow-router consistent-hashes it onto
+/// shards: the same module always lands on the shard whose caches already
+/// hold it. Within a daemon every worker shares those caches, so the
+/// admission queue ignores it. Deterministic across processes and hosts.
 [[nodiscard]] std::uint64_t affinity_digest(const CompileRequest& req);
 
 /// Manifest-level session settings a batch file may carry alongside its

@@ -21,8 +21,7 @@ DaemonOptions normalized(DaemonOptions options) {
 
 Daemon::Daemon(DaemonOptions options)
     : options_(normalized(std::move(options))),
-      queue_(options_.queue_depth == 0 ? 1 : options_.queue_depth,
-             kPriorityLanes, static_cast<std::size_t>(options_.workers)),
+      queue_(options_.queue_depth, kPriorityLanes),
       core_("serve", options_.recv_timeout_ms, [this](std::uint64_t) {
           return [this](const json::Value& doc, const std::string&) {
               return handle_request(doc);
@@ -52,8 +51,7 @@ std::optional<std::string> Daemon::start() {
     started_ = std::chrono::steady_clock::now();
     workers_.reserve(static_cast<std::size_t>(options_.workers));
     for (int i = 0; i < options_.workers; ++i)
-        workers_.emplace_back(
-            [this, i] { worker_loop(static_cast<std::size_t>(i)); });
+        workers_.emplace_back([this] { worker_loop(); });
     obs::info("serve", "daemon listening",
               {{"socket", options_.socket_path},
                {"tcp", options_.listen_tcp.empty()
@@ -109,7 +107,6 @@ std::string Daemon::handle_request(const json::Value& doc) {
     job->request = std::move(request);
     job->received = std::chrono::steady_clock::now();
     std::size_t lane = 0;
-    std::uint64_t affinity = request_seq_.load();
     if (job->request.type == RequestType::Compile) {
         CompileRequest& compile = job->request.compile;
         if (compile.deadline_ms == 0)
@@ -128,14 +125,13 @@ std::string Daemon::handle_request(const json::Value& doc) {
             job->token.set_deadline_after(
                 std::chrono::milliseconds(compile.deadline_ms));
         lane = static_cast<std::size_t>(compile.priority);
-        affinity = affinity_digest(compile);
     } else if (job->request.deadline_ms > 0) {
         job->token.set_deadline_after(
             std::chrono::milliseconds(job->request.deadline_ms));
     }
 
     std::future<std::string> done = job->response.get_future();
-    if (!queue_.try_push(job, lane, affinity)) {
+    if (!queue_.try_push(job, lane)) {
         {
             std::lock_guard lock(stats_mu_);
             ++counters_.rejected_overload;
@@ -149,15 +145,15 @@ std::string Daemon::handle_request(const json::Value& doc) {
     return done.get();
 }
 
-void Daemon::worker_loop(std::size_t worker_index) {
+void Daemon::worker_loop() {
     flow::SessionOptions session_options;
     session_options.jobs = options_.session_jobs;
     flow::FlowSession session(session_options);
     while (true) {
-        auto popped = queue_.pop(worker_index);
-        if (!popped.has_value()) break; // queue closed and drained
+        auto job = queue_.pop();
+        if (!job.has_value()) break; // queue closed and drained
         in_flight_.fetch_add(1);
-        execute_job(session, *popped->item);
+        execute_job(session, **job);
         in_flight_.fetch_sub(1);
     }
 }
@@ -199,10 +195,10 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
 
     if (job.request.type == RequestType::Sleep) {
         // Anchored at execution start, not receipt: the sleep models
-        // *service time* (a worker held for the full duration), so
-        // loadgen's io-bound mode measures worker occupancy even when the
-        // queue is saturated. Deadlines still count queue time — the
-        // token was armed at receipt.
+        // *service time* (a worker held for the full duration), so a
+        // sleep occupies a worker even when the queue is saturated.
+        // Deadlines still count queue time — the token was armed at
+        // receipt.
         const auto until = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(job.request.sleep_ms);
         bool cancelled = false;
@@ -378,7 +374,6 @@ json::Value Daemon::stats_json() {
     for (std::size_t lane = 0; lane < queue_.lanes(); ++lane)
         lane_depths.push(json::Value::number(double(queue_.lane_depth(lane))));
     stats.set("queue_lane_depths", std::move(lane_depths));
-    stats.set("queue_steals", json::Value::number(double(queue_.steals())));
     stats.set("in_flight", json::Value::number(double(in_flight_.load())));
     json::Value flow_cache = json::Value::object();
     flow_cache.set("entries", json::Value::number(double(memo_.entries())));
@@ -437,9 +432,6 @@ std::string Daemon::metrics_text() {
                        "Jobs waiting, by priority lane",
                        double(queue_.lane_depth(lane)),
                        {{"lane", std::to_string(lane)}});
-    renderer.counter("psaflowd_queue_steals_total",
-                     "Jobs taken from a sibling worker's sub-queue",
-                     double(queue_.steals()));
     renderer.gauge("psaflowd_queue_capacity", "Admission queue capacity",
                    double(queue_.capacity()));
     renderer.gauge("psaflowd_in_flight", "Jobs currently executing",

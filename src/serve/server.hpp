@@ -14,12 +14,14 @@
 //     connection thread then blocks on the job's future — requests on one
 //     connection are served in order, concurrency comes from concurrent
 //     connections.
-//   * `workers` worker threads each own a warm FlowSession (engine jobs
-//     default 1: request-level parallelism, not per-request fan-out) and
-//     drain the queue. Each job's deadline token was armed at *receipt*,
-//     so time spent queued counts against the deadline; an expired job is
-//     answered without running. Failures are contained per request —
-//     execute_request never throws.
+//   * `workers` worker threads drain the queue, each through its own
+//     FlowSession (engine jobs default 1: request-level parallelism, not
+//     per-request fan-out). Workers hold no per-worker warm state — the
+//     profile cache, the CAS and the result memo are process-wide — so any
+//     idle worker takes the next job. Each job's deadline token was armed
+//     at *receipt*, so time spent queued counts against the deadline; an
+//     expired job is answered without running. Failures are contained per
+//     request — execute_request never throws.
 //
 // Drain (notify_shutdown): stop accepting (close listeners, unlink the
 // socket file), close the queue (admitted jobs still drain, later frames
@@ -120,11 +122,6 @@ public:
     /// asked for port 0 (tests, smoke scripts). 0 without a TCP listener.
     [[nodiscard]] std::uint16_t tcp_port() const { return core_.tcp_port(); }
 
-    /// Work-stealing tally of the admission queue (see serve/queue.hpp).
-    [[nodiscard]] std::uint64_t queue_steals() const {
-        return queue_.steals();
-    }
-
 private:
     struct Job {
         WireRequest request;
@@ -135,7 +132,7 @@ private:
 
     /// The connection handler: one parsed request in, its response out.
     [[nodiscard]] std::string handle_request(const json::Value& doc);
-    void worker_loop(std::size_t worker_index);
+    void worker_loop();
     void execute_job(flow::FlowSession& session, Job& job);
     [[nodiscard]] std::string handle_inline(const WireRequest& request);
     [[nodiscard]] long long retry_after_ms_hint();

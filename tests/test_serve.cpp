@@ -348,68 +348,52 @@ TEST(Histogram, FromPartsOfNothingIsEmpty) {
 // -------------------------------------------------------------- lane queue ----
 
 TEST(LaneQueue, InteractiveLaneDrainsBeforeBatch) {
-    serve::LaneQueue<int> queue(/*capacity=*/8, /*lanes=*/2, /*workers=*/1);
-    ASSERT_TRUE(queue.try_push(10, /*lane=*/1, /*affinity=*/0)); // batch
-    ASSERT_TRUE(queue.try_push(11, 1, 0));
-    ASSERT_TRUE(queue.try_push(20, /*lane=*/0, 0)); // interactive, later
+    serve::LaneQueue<int> queue(/*capacity=*/8, /*lanes=*/2);
+    ASSERT_TRUE(queue.try_push(10, /*lane=*/1)); // batch
+    ASSERT_TRUE(queue.try_push(11, 1));
+    ASSERT_TRUE(queue.try_push(20, /*lane=*/0)); // interactive, later
     EXPECT_EQ(queue.lane_depth(0), 1u);
     EXPECT_EQ(queue.lane_depth(1), 2u);
 
-    auto first = queue.pop(0);
+    auto first = queue.pop();
     ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->item, 20); // pushed last, drained first
-    EXPECT_EQ(first->lane, 0u);
-    auto second = queue.pop(0);
+    EXPECT_EQ(*first, 20); // pushed last, drained first
+    EXPECT_EQ(queue.lane_depth(0), 0u); // it came from the interactive lane
+    auto second = queue.pop();
     ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->item, 10); // batch FIFO resumes
+    EXPECT_EQ(*second, 10); // batch FIFO resumes
 }
 
-TEST(LaneQueue, AffinityPinsToWorkerSubQueue) {
-    serve::LaneQueue<int> queue(8, 1, /*workers=*/2);
-    // Affinity 0 → worker 0's sub-queue; affinity 1 → worker 1's.
-    ASSERT_TRUE(queue.try_push(100, 0, /*affinity=*/0));
-    ASSERT_TRUE(queue.try_push(200, 0, /*affinity=*/1));
-    auto for_one = queue.pop(1);
-    ASSERT_TRUE(for_one.has_value());
-    EXPECT_EQ(for_one->item, 200); // own sub-queue wins over a steal
-    EXPECT_FALSE(for_one->stolen);
-    EXPECT_EQ(queue.steals(), 0u);
-}
-
-TEST(LaneQueue, IdleWorkerStealsFromLongestSibling) {
-    serve::LaneQueue<int> queue(8, 1, /*workers=*/2);
-    // Everything lands on worker 0; worker 1 must steal to stay busy.
-    ASSERT_TRUE(queue.try_push(1, 0, 0));
-    ASSERT_TRUE(queue.try_push(2, 0, 0));
-    ASSERT_TRUE(queue.try_push(3, 0, 0));
-    auto stolen = queue.pop(1);
-    ASSERT_TRUE(stolen.has_value());
-    EXPECT_EQ(stolen->item, 1); // the oldest, preserving FIFO fairness
-    EXPECT_TRUE(stolen->stolen);
-    EXPECT_EQ(queue.steals(), 1u);
-    auto own = queue.pop(0);
-    ASSERT_TRUE(own.has_value());
-    EXPECT_EQ(own->item, 2);
-    EXPECT_FALSE(own->stolen);
+TEST(LaneQueue, AnyPopperTakesTheOldestJobOfTheHighestLane) {
+    serve::LaneQueue<int> queue(8, 2);
+    ASSERT_TRUE(queue.try_push(300, /*lane=*/1));
+    ASSERT_TRUE(queue.try_push(100, /*lane=*/0));
+    ASSERT_TRUE(queue.try_push(200, /*lane=*/0));
+    // One FIFO per lane, shared by every worker: no job is reserved for a
+    // particular popper, so the next pop is always the oldest of lane 0.
+    EXPECT_EQ(queue.pop().value(), 100);
+    EXPECT_EQ(queue.pop().value(), 200);
+    EXPECT_EQ(queue.pop().value(), 300);
+    EXPECT_EQ(queue.depth(), 0u);
 }
 
 TEST(LaneQueue, AdmissionRecoversAfterPopFreesRoom) {
-    serve::LaneQueue<int> queue(/*capacity=*/2, 1, 1);
-    ASSERT_TRUE(queue.try_push(1, 0, 0));
-    ASSERT_TRUE(queue.try_push(2, 0, 0));
-    EXPECT_FALSE(queue.try_push(3, 0, 0)); // full: the backpressure signal
-    EXPECT_EQ(queue.pop(0).value().item, 1);
-    EXPECT_TRUE(queue.try_push(3, 0, 0));
+    serve::LaneQueue<int> queue(/*capacity=*/2, 1);
+    ASSERT_TRUE(queue.try_push(1, 0));
+    ASSERT_TRUE(queue.try_push(2, 0));
+    EXPECT_FALSE(queue.try_push(3, 0)); // full: the backpressure signal
+    EXPECT_EQ(queue.pop().value(), 1);
+    EXPECT_TRUE(queue.try_push(3, 0));
     EXPECT_EQ(queue.depth(), 2u);
 }
 
 TEST(LaneQueue, CloseWakesBlockedPoppersWithNullopt) {
-    serve::LaneQueue<int> queue(1, 1, /*workers=*/4);
+    serve::LaneQueue<int> queue(1, 1);
     std::atomic<int> woke{0};
     std::vector<std::thread> poppers;
-    for (std::size_t w = 0; w < 4; ++w)
-        poppers.emplace_back([&, w] {
-            EXPECT_FALSE(queue.pop(w).has_value());
+    for (int w = 0; w < 4; ++w)
+        poppers.emplace_back([&] {
+            EXPECT_FALSE(queue.pop().has_value());
             woke.fetch_add(1);
         });
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -419,29 +403,29 @@ TEST(LaneQueue, CloseWakesBlockedPoppersWithNullopt) {
 }
 
 TEST(LaneQueue, CapacityIsSharedAcrossLanesAndCloseDrains) {
-    serve::LaneQueue<int> queue(/*capacity=*/2, 2, 2);
-    ASSERT_TRUE(queue.try_push(1, 0, 0));
-    ASSERT_TRUE(queue.try_push(2, 1, 1));
-    EXPECT_FALSE(queue.try_push(3, 0, 0)) << "one bound for all lanes";
+    serve::LaneQueue<int> queue(/*capacity=*/2, 2);
+    ASSERT_TRUE(queue.try_push(1, 0));
+    ASSERT_TRUE(queue.try_push(2, 1));
+    EXPECT_FALSE(queue.try_push(3, 0)) << "one bound for all lanes";
     queue.close();
-    EXPECT_FALSE(queue.try_push(4, 0, 0));
-    EXPECT_TRUE(queue.pop(0).has_value());
-    EXPECT_TRUE(queue.pop(0).has_value()); // steals across lanes on drain
-    EXPECT_FALSE(queue.pop(0).has_value()); // closed + drained → exit signal
+    EXPECT_FALSE(queue.try_push(4, 0));
+    EXPECT_TRUE(queue.pop().has_value());
+    EXPECT_TRUE(queue.pop().has_value()); // drains across lanes
+    EXPECT_FALSE(queue.pop().has_value()); // closed + drained → exit signal
 }
 
-// The plain bounded-FIFO contract, now held by a one-lane, one-worker
-// LaneQueue: close() stops admission, admitted items drain in push order,
-// then pop() signals exit with nullopt.
+// The plain bounded-FIFO contract, held by a one-lane LaneQueue: close()
+// stops admission, admitted items drain in push order, then pop() signals
+// exit with nullopt.
 TEST(BoundedQueue, CloseDrainsAdmittedItemsThenSignalsExit) {
-    serve::LaneQueue<int> queue(/*capacity=*/4, 1, 1);
-    EXPECT_TRUE(queue.try_push(1, 0, 0));
-    EXPECT_TRUE(queue.try_push(2, 0, 0));
+    serve::LaneQueue<int> queue(/*capacity=*/4, 1);
+    EXPECT_TRUE(queue.try_push(1, 0));
+    EXPECT_TRUE(queue.try_push(2, 0));
     queue.close();
-    EXPECT_FALSE(queue.try_push(3, 0, 0)); // no admissions after close
-    EXPECT_EQ(queue.pop(0).value().item, 1);
-    EXPECT_EQ(queue.pop(0).value().item, 2);
-    EXPECT_FALSE(queue.pop(0).has_value()); // closed and drained
+    EXPECT_FALSE(queue.try_push(3, 0)); // no admissions after close
+    EXPECT_EQ(queue.pop().value(), 1);
+    EXPECT_EQ(queue.pop().value(), 2);
+    EXPECT_FALSE(queue.pop().has_value()); // closed and drained
 }
 
 // ----------------------------------------------------------- cancellation ----
@@ -1552,6 +1536,51 @@ TEST(Daemon, RepeatedCompileIsAnsweredFromTheResultMemo) {
               std::string::npos);
     EXPECT_NE(metrics.find("psaflowd_flow_cache_bytes "), std::string::npos);
     EXPECT_NE(metrics.find("psaflow_flow_cache_hits 1"), std::string::npos);
+}
+
+TEST(Daemon, IdleWorkerTakesAJobWhileAnotherWorkerIsBusy) {
+    DaemonFixture fixture("idle-worker", [] {
+        serve::DaemonOptions options;
+        options.workers = 2;
+        return options;
+    }());
+    fixture.start();
+
+    // Warm the result memo so the timed compile is short even under a
+    // sanitizer; the point is where it waits, not how long it runs.
+    const json::Value warm = client_round_trip(
+        fixture.socket(),
+        R"({"type":"compile","app":"kmeans","out":"warm"})");
+    ASSERT_TRUE(warm.find("ok")->bool_value) << json::dump(warm);
+
+    const auto wait_for_in_flight = [&](double jobs) {
+        while (client_round_trip(fixture.socket(), R"({"type":"stats"})")
+                   .find("in_flight")
+                   ->number_value != jobs)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    };
+    wait_for_in_flight(0.0); // the warm-up's worker has let go
+
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point sleep_done;
+    json::Value slept;
+    std::thread sleeper([&] {
+        slept = client_round_trip(fixture.socket(),
+                                  R"({"type":"sleep","ms":500})");
+        sleep_done = Clock::now();
+    });
+    wait_for_in_flight(1.0); // admit the compile once the sleep holds a worker
+
+    const json::Value compiled = client_round_trip(
+        fixture.socket(),
+        R"({"type":"compile","app":"kmeans","out":"during-sleep"})");
+    const Clock::time_point compile_done = Clock::now();
+    sleeper.join();
+
+    ASSERT_TRUE(compiled.find("ok")->bool_value) << json::dump(compiled);
+    ASSERT_TRUE(slept.find("ok")->bool_value) << json::dump(slept);
+    EXPECT_LT(compile_done, sleep_done)
+        << "the compile waited behind the busy worker";
 }
 
 TEST(Daemon, FullQueueRejectsWithRetryHint) {
